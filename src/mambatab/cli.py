@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,25 +99,6 @@ class RunSpec:
             seed=seed,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "schema": self.schema,
-            "out_dir": self.out_dir,
-            "regime": self.regime,
-            "seeds": self.seeds,
-            "embed_dim": self.embed_dim,
-            "state_size": self.state_size,
-            "expand": self.expand,
-            "d_conv": self.d_conv,
-            "n_blocks": self.n_blocks,
-            "use_layer_norm": self.use_layer_norm,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-        }
-
 
 @dataclass
 class SeedOutcome:
@@ -128,10 +109,6 @@ class SeedOutcome:
     model: MambaTabModel
     wall_time_s: float
     param_count: int
-
-
-def _encode_splits(table: Table, pre, parts) -> list:
-    return [tabular.transform(pre, p) for p in parts]
 
 
 def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -> SeedOutcome:
@@ -147,28 +124,28 @@ def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -
         "regime": spec.regime,
         "seed": seed,
         "split_seed": split_seed,
-        "preprocessor": pre.to_dict(),
+        "preprocessor": asdict(pre),
         "columns": list(table.column_names),
         "schema": {"label_column": schema.label_column,
                    "positive_label": schema.positive_label},
     }
 
+    enc_test = tabular.transform(pre, test_t)
+    if spec.regime != "incremental":
+        enc_train = tabular.transform(pre, train_t)
+        enc_val = tabular.transform(pre, val_t)
+    payload = {"report": None, "stage_reports": None, "pretrain_report": None}
+
     if spec.regime == "supervised":
-        enc_train, enc_val, enc_test = _encode_splits(table, pre, (train_t, val_t, test_t))
         model = MambaTabModel(spec.model_config(table.n_features), rng=init_seed)
-        best, report = training.train_supervised(model, enc_train, enc_val, cfg)
-        payload = {"report": None, "stage_reports": None, "pretrain_report": None}
-        main_report = report
+        best, main_report = training.train_supervised(model, enc_train, enc_val, cfg)
 
     elif spec.regime == "ssl":
-        enc_train, enc_val, enc_test = _encode_splits(table, pre, (train_t, val_t, test_t))
         recon = MambaTabModel(spec.model_config(table.n_features, head="reconstruction"),
                               rng=init_seed)
         body, pre_report = training.pretrain_ssl(recon, enc_train, enc_val, cfg)
-        best, report = training.finetune_after_ssl(body, enc_train, enc_val, cfg)
-        payload = {"report": None, "stage_reports": None,
-                   "pretrain_report": pre_report.to_dict()}
-        main_report = report
+        best, main_report = training.finetune_after_ssl(body, enc_train, enc_val, cfg)
+        payload["pretrain_report"] = asdict(pre_report)
 
     else:  # incremental
         plan_seed = _child_seed(seed, _STREAM_PLAN)
@@ -184,10 +161,7 @@ def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -
             ))
         best, stage_reports = training.train_incremental(
             stages, spec.model_config(table.n_features), cfg, init_rng=init_seed)
-        enc_test = tabular.transform(pre, test_t)
-        payload = {"report": None,
-                   "stage_reports": [r.to_dict() for r in stage_reports],
-                   "pretrain_report": None}
+        payload["stage_reports"] = [asdict(r) for r in stage_reports]
         main_report = stage_reports[-1]
         base_meta["plan"] = {"s1": plan.s1, "s2": plan.s2, "s3": plan.s3}
 
@@ -195,8 +169,8 @@ def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -
     result = metrics.evaluate(scores, enc_test.labels, seed=seed)
     main_report.test_auroc = result.auroc
     main_report.test_accuracy = result.accuracy
-    payload["report"] = main_report.to_dict()
-    payload["eval"] = result.to_dict()
+    payload["report"] = asdict(main_report)
+    payload["eval"] = asdict(result)
     return SeedOutcome(
         seed=seed,
         result=result,
@@ -218,7 +192,7 @@ def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
     table = tabular.load_csv(spec.dataset, schema)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "runspec.json", spec.to_dict())
+    _write_json(out / "runspec.json", asdict(spec))
 
     outcomes = []
     for seed in spec.seeds:
@@ -338,19 +312,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_SPEC_FIELDS = {
-    # spec field -> type used to parse config-file strings
-    "regime": str,
-    "embed_dim": int,
-    "state_size": int,
-    "expand": int,
-    "d_conv": int,
-    "n_blocks": int,
-    "max_epochs": int,
-    "patience": int,
-    "lr": float,
-    "batch_size": int,
-}
+# Config-file keys parsed by the type of their default; seeds and
+# no_layer_norm have syntax of their own.
+_SPEC_FIELDS = {f.name: type(f.default) for f in fields(RunSpec)
+                if type(f.default) in (str, int, float)}
 
 
 def _parse_seeds(text: str) -> list[int]:

@@ -20,15 +20,6 @@ class EvalResult:
     n_neg: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "accuracy": self.accuracy,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "seed": self.seed,
-        }
-
 
 def auroc(scores, labels) -> float:
     """Probability a random positive outscores a random negative, ties counting half.

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.special import expit
@@ -58,21 +59,11 @@ class ModelConfig:
     def head_out(self) -> int:
         return 1 if self.head == "classification" else self.n_features
 
-    def to_dict(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "embed_dim": self.embed_dim,
-            "state_size": self.state_size,
-            "expand": self.expand,
-            "d_conv": self.d_conv,
-            "n_blocks": self.n_blocks,
-            "seq_len": self.seq_len,
-            "head": self.head,
-            "use_layer_norm": self.use_layer_norm,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
         return cls(**d)
 
 
@@ -133,11 +124,18 @@ class MambaTabModel:
         """Classification probabilities for [m, n_features] rows, chunked."""
         if self.config.head != "classification":
             raise ValueError("predict_proba requires a classification head")
-        chunks = [
-            expit(self.forward(values[i:i + batch_size]).data[:, 0])
-            for i in range(0, len(values), batch_size)
-        ]
+        chunks = [expit(z[:, 0]) for _, z in self.forward_chunks(values, batch_size)]
         return np.concatenate(chunks)
+
+    def forward_chunks(self, values: np.ndarray, batch_size: int = 1024):
+        """Yield (row slice, forward output array) over [m, n_features] rows, in order.
+
+        Only the output array is kept, so each chunk's graph is freed
+        before the next chunk's forward runs.
+        """
+        for start in range(0, len(values), batch_size):
+            rows = slice(start, start + batch_size)
+            yield rows, self.forward(values[rows]).data
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -220,7 +218,7 @@ def swap_head(model: MambaTabModel, head: str, rng: np.random.Generator | int) -
 def save(model: MambaTabModel, path, metadata: dict | None = None) -> None:
     state = model.state_dict()
     header = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "metadata": metadata or {},
         "tensors": [{"name": n, "shape": list(a.shape)} for n, a in state.items()],
     }
@@ -254,11 +252,23 @@ def load_with_metadata(path) -> tuple[MambaTabModel, dict]:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if header_len > remaining:
+            raise CheckpointError(
+                f"header length {header_len} at byte 8 exceeds the {remaining} bytes that follow")
         try:
             header = json.loads(_read_exact(fh, header_len, "header"))
         except json.JSONDecodeError as e:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from None
-        config = ModelConfig.from_dict(header["config"])
+        if not isinstance(header, dict):
+            raise CheckpointError("checkpoint header is not a JSON object")
+        missing = sorted({"config", "metadata", "tensors"} - set(header))
+        if missing:
+            raise CheckpointError(f"checkpoint header lacks keys {missing}")
+        try:
+            config = ModelConfig.from_dict(header["config"])
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"bad model config in checkpoint header: {e}") from None
         state = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])

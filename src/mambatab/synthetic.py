@@ -59,5 +59,5 @@ def write_csv(table: Table, path, label_column: str = "label") -> None:
         writer.writerow(table.column_names + [label_column])
         for i in range(table.n_rows):
             row = [("" if col[i] is None else col[i]) for col in table.columns]
-            writer.writerow([repr(c) if isinstance(c, float) else c for c in row]
+            writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row]
                             + [int(table.labels[i])])

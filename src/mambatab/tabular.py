@@ -194,16 +194,6 @@ class Preprocessor:
     def n_features(self) -> int:
         return len(self.column_names)
 
-    def to_dict(self) -> dict:
-        return {
-            "column_names": self.column_names,
-            "kinds": self.kinds,
-            "categories": self.categories,
-            "modes": self.modes,
-            "mins": self.mins,
-            "maxs": self.maxs,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Preprocessor":
         return cls(

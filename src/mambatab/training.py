@@ -15,10 +15,10 @@ identical reports bit for bit.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import expit
 
 from . import metrics, tensor as T
 from .model import MambaTabModel, count_parameters, swap_head, transfer_weights
@@ -68,25 +68,6 @@ class TrainReport:
     test_accuracy: float | None = None
     param_count: int = 0
     seed: int = 0
-    wall_time_s: float = 0.0
-
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_auroc": self.val_auroc,
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "early_stopped": self.early_stopped,
-            "monitor": self.monitor,
-            "test_auroc": self.test_auroc,
-            "test_accuracy": self.test_accuracy,
-            "param_count": self.param_count,
-            "seed": self.seed,
-        }
-        if include_timing:
-            d["wall_time_s"] = self.wall_time_s
-        return d
 
 
 def bce_with_logits(logits: Tensor, labels) -> Tensor:
@@ -174,39 +155,37 @@ def _batches(n_rows: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def _mean_loss(loss_fn, values, batch_size: int = 1024) -> float:
-    """Evaluate a per-batch mean loss over all rows, weighted by batch size."""
-    total, n = 0.0, len(values)
-    for start in range(0, n, batch_size):
-        idx = slice(start, start + batch_size)
-        batch = values[idx]
-        total += loss_fn(batch, idx) * len(batch)
-    return total / n
+def _validation_pass(model: MambaTabModel, values: np.ndarray, targets: np.ndarray,
+                     loss_fn) -> tuple[float, list[np.ndarray]]:
+    """One chunked forward over all rows: the row-weighted mean of the
+    per-chunk losses, and each chunk's raw outputs."""
+    total, outputs = 0.0, []
+    for idx, out in model.forward_chunks(values):
+        total += loss_fn(Tensor(out), targets[idx]).item() * len(out)
+        outputs.append(out)
+    return total / len(values), outputs
 
 
-def train_supervised(model: MambaTabModel, train: EncodedMatrix, val: EncodedMatrix,
-                     cfg: TrainConfig) -> tuple[MambaTabModel, TrainReport]:
-    """Minibatch BCE training with best-validation snapshotting."""
-    if model.config.head != "classification":
-        raise ValueError("train_supervised needs a classification head")
-    t0 = time.perf_counter()
+def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainReport,
+         batch_loss, validate) -> tuple[MambaTabModel, TrainReport]:
+    """The epoch loop every regime shares.
+
+    ``batch_loss(idx)`` builds the loss of the training rows ``idx``;
+    ``validate()`` returns the epoch's validation loss and AUROC (or None).
+    Adam follows a cosine schedule; the model is snapshotted at each new
+    validation minimum and the best snapshot is returned.
+    """
     rng = derive_rng(cfg.seed, _STREAM_SHUFFLE)
     params = [p for _, p in model.named_parameters()]
     opt = AdamState.for_params(params)
     stopper = EarlyStopper(cfg.patience)
-    report = TrainReport(monitor="val_bce", seed=cfg.seed, param_count=count_parameters(model))
     best_state = model.state_dict()
-
-    def val_bce(batch, idx):
-        logits = model.forward(batch)
-        return bce_with_logits(logits, val.labels[idx]).item()
-
     for epoch in range(1, cfg.max_epochs + 1):
         lr = cosine_lr(epoch - 1, cfg.max_epochs, cfg.lr)
         losses = []
-        for idx in _batches(train.n_rows, cfg.batch_size, rng):
+        for idx in _batches(n_rows, cfg.batch_size, rng):
             try:
-                loss = bce_with_logits(model.forward(train.values[idx]), train.labels[idx])
+                loss = batch_loss(idx)
                 model.zero_grad()
                 loss.backward()
             except NumericsError as e:
@@ -214,17 +193,12 @@ def train_supervised(model: MambaTabModel, train: EncodedMatrix, val: EncodedMat
             adam_step(params, opt, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
             losses.append(loss.item())
         report.train_loss.append(float(np.mean(losses)))
-        vl = _mean_loss(val_bce, val.values)
+        vl, auc = validate()
         report.val_loss.append(vl)
-        try:
-            scores = model.predict_proba(val.values)
-            report.val_auroc.append(metrics.auroc(scores, val.labels))
-        except metrics.UndefinedMetricError:
-            report.val_auroc.append(None)
+        report.val_auroc.append(auc)
         report.epochs_run = epoch
-        improved = vl < stopper.best
         stop = stopper.update(vl, epoch)
-        if improved:
+        if stopper.best_epoch == epoch:
             best_state = model.state_dict()
         if stop:
             report.early_stopped = True
@@ -232,8 +206,28 @@ def train_supervised(model: MambaTabModel, train: EncodedMatrix, val: EncodedMat
     report.best_epoch = stopper.best_epoch
     best = model.clone()
     best.load_state_dict(best_state)
-    report.wall_time_s = time.perf_counter() - t0
     return best, report
+
+
+def train_supervised(model: MambaTabModel, train: EncodedMatrix, val: EncodedMatrix,
+                     cfg: TrainConfig) -> tuple[MambaTabModel, TrainReport]:
+    """Minibatch BCE training with best-validation snapshotting."""
+    if model.config.head != "classification":
+        raise ValueError("train_supervised needs a classification head")
+    report = TrainReport(monitor="val_bce", seed=cfg.seed, param_count=count_parameters(model))
+
+    def batch_loss(idx):
+        return bce_with_logits(model.forward(train.values[idx]), train.labels[idx])
+
+    def validate():
+        vl, logits = _validation_pass(model, val.values, val.labels, bce_with_logits)
+        scores = np.concatenate([expit(z[:, 0]) for z in logits])
+        try:
+            return vl, metrics.auroc(scores, val.labels)
+        except metrics.UndefinedMetricError:
+            return vl, None
+
+    return _fit(model, train.n_rows, cfg, report, batch_loss, validate)
 
 
 def corruption_masks(rng: np.random.Generator, n_rows: int, n_features: int) -> np.ndarray:
@@ -255,56 +249,23 @@ def pretrain_ssl(model: MambaTabModel, train: EncodedMatrix, val: EncodedMatrix,
     """
     if model.config.head != "reconstruction":
         raise ValueError("pretrain_ssl needs a reconstruction head")
-    t0 = time.perf_counter()
-    rng = derive_rng(cfg.seed, _STREAM_SHUFFLE)
     mask_rng = derive_rng(cfg.seed, _STREAM_MASK)
     n = model.config.n_features
     val_mask = corruption_masks(derive_rng(cfg.seed, _STREAM_VAL_MASK), val.n_rows, n)
     val_corrupted = np.where(val_mask, 0.0, val.values)
 
-    params = [p for _, p in model.named_parameters()]
-    opt = AdamState.for_params(params)
-    stopper = EarlyStopper(cfg.patience)
-    report = TrainReport(monitor="val_l2", seed=cfg.seed, param_count=count_parameters(model))
-    best_state = model.state_dict()
+    def batch_loss(idx):
+        clean = train.values[idx]
+        corrupted = np.where(corruption_masks(mask_rng, len(idx), n), 0.0, clean)
+        return mse_loss(model.forward(corrupted), clean)
 
-    def val_l2(batch, idx):
-        return mse_loss(model.forward(batch), val.values[idx]).item()
+    def validate():
+        return _validation_pass(model, val_corrupted, val.values, mse_loss)[0], None
 
-    report.val_loss.append(_mean_loss(val_l2, val_corrupted))  # epoch 0, untrained
-    report.val_auroc.append(None)
-
-    for epoch in range(1, cfg.max_epochs + 1):
-        lr = cosine_lr(epoch - 1, cfg.max_epochs, cfg.lr)
-        losses = []
-        for idx in _batches(train.n_rows, cfg.batch_size, rng):
-            clean = train.values[idx]
-            corrupted = np.where(corruption_masks(mask_rng, len(idx), n), 0.0, clean)
-            try:
-                loss = mse_loss(model.forward(corrupted), clean)
-                model.zero_grad()
-                loss.backward()
-            except NumericsError as e:
-                raise _abort(e, report, epoch, cfg.seed) from e
-            adam_step(params, opt, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            losses.append(loss.item())
-        report.train_loss.append(float(np.mean(losses)))
-        vl = _mean_loss(val_l2, val_corrupted)
-        report.val_loss.append(vl)
-        report.val_auroc.append(None)
-        report.epochs_run = epoch
-        improved = vl < stopper.best
-        stop = stopper.update(vl, epoch)
-        if improved:
-            best_state = model.state_dict()
-        if stop:
-            report.early_stopped = True
-            break
-    report.best_epoch = stopper.best_epoch
-    best = model.clone()
-    best.load_state_dict(best_state)
-    report.wall_time_s = time.perf_counter() - t0
-    return best, report
+    vl0, auc0 = validate()  # epoch 0, untrained
+    report = TrainReport(val_loss=[vl0], val_auroc=[auc0], monitor="val_l2", seed=cfg.seed,
+                         param_count=count_parameters(model))
+    return _fit(model, train.n_rows, cfg, report, batch_loss, validate)
 
 
 def finetune_after_ssl(pretrained: MambaTabModel, train: EncodedMatrix, val: EncodedMatrix,

@@ -1,10 +1,13 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from mambatab import cli, synthetic
+from mambatab import cli, model as model_mod, synthetic
 from mambatab.cli import EXIT_OK, EXIT_USAGE, RunSpec, cmd_eval, cmd_sweep, cmd_train, main
+from mambatab.model import MambaTabModel, ModelConfig
+from mambatab.tabular import SchemaConfig
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +56,30 @@ class TestTrain:
         assert summary["auroc_mean"] == pytest.approx(np.mean(aurocs), abs=1e-12)
         assert summary["auroc_std"] == pytest.approx(np.std(aurocs, ddof=1), abs=1e-12)
 
-    def test_determinism_byte_identical(self, dataset, tmp_path):
-        spec_a = quick_spec(dataset, tmp_path / "a", seeds=[3])
-        spec_b = quick_spec(dataset, tmp_path / "b", seeds=[3])
-        cmd_train(spec_a, quiet=True)
-        cmd_train(spec_b, quiet=True)
-        for rel in ("seed_3/report.json", "seed_3/model.ckpt", "summary.csv", "per_seed.csv"):
-            a = (tmp_path / "a" / rel).read_bytes()
-            b = (tmp_path / "b" / rel).read_bytes()
-            assert a == b, f"{rel} differs between identical runs"
+    @pytest.mark.parametrize("regime", ["supervised", "ssl", "incremental"])
+    def test_determinism_byte_identical(self, dataset, tmp_path, regime):
+        spec = quick_spec(dataset, tmp_path / "run", seeds=[3], regime=regime)
+        cmd_train(spec, quiet=True)
+        first = {p.relative_to(spec.out_dir): p.read_bytes()
+                 for p in sorted((tmp_path / "run").rglob("*"))
+                 if p.is_file() and p.name != "timing.json"}
+        assert len(first) == 6
+        cmd_train(spec, quiet=True)
+        for rel, data in first.items():
+            assert (tmp_path / "run" / rel).read_bytes() == data, f"{rel} differs between reruns"
+
+    def test_csv_run_matches_in_memory_table(self, tmp_path):
+        table = synthetic.logistic_table(300, 4, 2, seed=6)
+        csv_path = tmp_path / "t.csv"
+        synthetic.write_csv(table, csv_path)
+        schema_path = tmp_path / "t.schema"
+        schema_path.write_text("label_column = label\npositive_label = 1\n")
+        spec = quick_spec((str(csv_path), str(schema_path)), tmp_path / "run", seeds=[0],
+                          max_epochs=30)
+        cmd_train(spec, quiet=True)
+        from_csv = json.loads((tmp_path / "run" / "seed_0" / "report.json").read_text())
+        in_memory = cli.run_one_seed(spec, table, SchemaConfig("label", "1"), seed=0)
+        assert from_csv == in_memory.report_payload
 
     def test_block_count_flag_grows_params_linearly(self, dataset, tmp_path):
         s1 = cmd_train(quick_spec(dataset, tmp_path / "m1", seeds=[0], max_epochs=2,
@@ -119,6 +137,33 @@ class TestEval:
                      "--dataset", str(other_csv), "--schema", schema_path, "--quiet"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("damage", [
+        "drop_config", "drop_tensors", "drop_metadata", "unknown_config_key", "not_an_object",
+        "huge_header_len",
+    ])
+    def test_malformed_checkpoint_exits_one(self, dataset, tmp_path, damage, capsys):
+        csv_path, schema_path = dataset
+        good = tmp_path / "good.ckpt"
+        model_mod.save(MambaTabModel(ModelConfig(n_features=6, embed_dim=8, state_size=4)), good)
+        raw = good.read_bytes()
+        header_len = struct.unpack("<Q", raw[8:16])[0]
+        header = json.loads(raw[16:16 + header_len])
+        if damage.startswith("drop_"):
+            del header[damage[len("drop_"):]]
+        elif damage == "unknown_config_key":
+            header["config"]["colour"] = "blue"
+        elif damage == "not_an_object":
+            header = list(header)
+        header_bytes = json.dumps(header).encode()
+        length = 2 ** 40 if damage == "huge_header_len" else len(header_bytes)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:8] + struct.pack("<Q", length) + header_bytes
+                        + raw[16 + header_len:])
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", csv_path,
+                     "--schema", schema_path, "--quiet"])
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_table(self, dataset, tmp_path):
@@ -168,6 +213,26 @@ class TestMainEntry:
         runspec = json.loads((tmp_path / "cfg_run" / "runspec.json").read_text())
         assert runspec["embed_dim"] == 8       # flag wins
         assert runspec["max_epochs"] == 2      # file value
+
+    def test_config_file_sets_each_field_type(self, dataset, tmp_path, capsys):
+        csv_path, schema_path = dataset
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("regime = ssl\nbatch_size = 64\nlr = 0.001\nno_layer_norm = true\n"
+                       "max_epochs = 1\nseeds = 0\nembed_dim = 8\nstate_size = 4\n")
+        code = main(["train", "--dataset", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "cfg_run"), "--config", str(cfg), "--quiet"])
+        assert code == EXIT_OK
+        runspec = json.loads((tmp_path / "cfg_run" / "runspec.json").read_text())
+        assert runspec["regime"] == "ssl"
+        assert runspec["batch_size"] == 64 and isinstance(runspec["batch_size"], int)
+        assert runspec["lr"] == 0.001
+        assert runspec["use_layer_norm"] is False
+
+        cfg.write_text("patience = x\n")
+        code = main(["train", "--dataset", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "bad_run"), "--config", str(cfg), "--quiet"])
+        assert code == EXIT_USAGE
+        assert "patience" in capsys.readouterr().err
 
     def test_missing_label_column_exits_one(self, dataset, tmp_path):
         csv_path, _ = dataset

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,5 +250,5 @@ class TestCsvAndSchema:
     def test_preprocessor_dict_round_trip(self):
         t = make_table({"a": ["x", "y", "x"], "n": [1.0, 3.0, None]}, [0, 1, 0])
         pre = fit(t)
-        clone = tabular.Preprocessor.from_dict(pre.to_dict())
+        clone = tabular.Preprocessor.from_dict(asdict(pre))
         assert clone == pre

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from mambatab.model import MambaTabModel, ModelConfig, swap_head
 from mambatab.tensor import Tensor
 from mambatab.training import (
     AdamState, EarlyStopper, Stage, TrainConfig, adam_step, bce_with_logits,
-    corruption_masks, cosine_lr, derive_rng, finetune_after_ssl,
+    corruption_masks, cosine_lr, derive_rng, finetune_after_ssl, mse_loss,
     pretrain_ssl, train_incremental, train_supervised,
 )
 
@@ -136,17 +136,32 @@ class TestTrainSupervised:
         for _ in range(2):
             model = MambaTabModel(ModelConfig(n_features=5, embed_dim=8, state_size=4), rng=3)
             _, report = train_supervised(model, tr, va, TrainConfig(seed=5, max_epochs=12))
-            runs.append(report.to_dict())
+            runs.append(asdict(report))
         assert runs[0] == runs[1]
 
     def test_returned_model_is_best_snapshot(self):
         table = synthetic.logistic_table(150, 3, 2, seed=5)
         tr, va, _ = encoded(table)
         model = MambaTabModel(ModelConfig(n_features=5, embed_dim=8, state_size=4), rng=3)
-        best, report = train_supervised(model, tr, va, TrainConfig(seed=5, max_epochs=15, lr=1e-3))
+        cfg = TrainConfig(seed=5, max_epochs=60, patience=3, lr=1e-2)
+        best, report = train_supervised(model, tr, va, cfg)
+        assert report.best_epoch < report.epochs_run   # the snapshot is not the last epoch
         logits = best.forward(va.values)
         vl = bce_with_logits(logits, va.labels).item()
         assert vl == pytest.approx(min(report.val_loss), abs=1e-12)
+        auc = metrics.auroc(best.predict_proba(va.values), va.labels)
+        assert report.val_auroc[report.best_epoch - 1] == auc
+
+    def test_ssl_returned_model_is_best_snapshot(self):
+        table = synthetic.logistic_table(150, 3, 2, seed=5)
+        tr, va, _ = encoded(table)
+        cfg = ModelConfig(n_features=5, embed_dim=8, state_size=4, head="reconstruction")
+        tcfg = TrainConfig(seed=5, max_epochs=60, patience=3, lr=1e-2)
+        best, report = pretrain_ssl(MambaTabModel(cfg, rng=3), tr, va, tcfg)
+        assert report.best_epoch < report.epochs_run
+        mask = corruption_masks(derive_rng(5, training._STREAM_VAL_MASK), va.n_rows, 5)
+        vl = mse_loss(best.forward(np.where(mask, 0.0, va.values)), va.values).item()
+        assert vl == pytest.approx(min(report.val_loss[1:]), abs=1e-12)
 
     def test_numeric_failure_aborts_with_partial_report(self):
         table = synthetic.logistic_table(120, 3, 1, seed=14)
@@ -247,7 +262,7 @@ class TestSsl:
         fresh = swap_head(model_b, "classification", derive_rng(tcfg.seed, training._STREAM_HEAD))
         m2, rep2 = train_supervised(fresh, tr, va, tcfg)
 
-        assert rep1.to_dict() == rep2.to_dict()
+        assert asdict(rep1) == asdict(rep2)
         for name, arr in m1.state_dict().items():
             assert np.array_equal(m2.state_dict()[name], arr)
 
@@ -282,7 +297,7 @@ class TestIncremental:
             MambaTabModel(base, rng=1), tr, va,
             replace(tcfg, seed=training.stage_seed(0, 0)))
         assert len(reps) == 1
-        assert reps[0].to_dict() == rep.to_dict()
+        assert asdict(reps[0]) == asdict(rep)
 
     def test_stage3_signal_beats_stage1_only(self):
         plan = tabular.make_incremental_plan(9, seed=3)
