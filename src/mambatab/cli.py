@@ -253,6 +253,10 @@ def cmd_eval(checkpoint_path: str, dataset: str, schema_path: str,
              quiet: bool = False) -> metrics.EvalResult:
     """Re-derive the checkpoint's own test split and score it. No training."""
     model, meta = model_mod.load_with_metadata(checkpoint_path)
+    missing = sorted({"schema", "columns", "split_seed", "preprocessor"} - set(meta))
+    if missing:
+        raise model_mod.CheckpointError(
+            f"{checkpoint_path} has no training metadata: lacks keys {missing}")
     schema = SchemaConfig(meta["schema"]["label_column"], meta["schema"]["positive_label"])
     if schema_path:
         schema = SchemaConfig.from_file(schema_path)

@@ -233,10 +233,13 @@ def save(model: MambaTabModel, path, metadata: dict | None = None) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
+    # Checked against the file size before reading, so a corrupt length
+    # cannot ask for a huge buffer.
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > remaining:
+        raise CheckpointError(f"truncated checkpoint: {what} needs {n} bytes at byte "
+                              f"{fh.tell()}, {remaining} follow")
+    return fh.read(n)
 
 
 def load(path) -> MambaTabModel:
@@ -252,10 +255,6 @@ def load_with_metadata(path) -> tuple[MambaTabModel, dict]:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        if header_len > remaining:
-            raise CheckpointError(
-                f"header length {header_len} at byte 8 exceeds the {remaining} bytes that follow")
         try:
             header = json.loads(_read_exact(fh, header_len, "header"))
         except json.JSONDecodeError as e:
@@ -269,11 +268,17 @@ def load_with_metadata(path) -> tuple[MambaTabModel, dict]:
             config = ModelConfig.from_dict(header["config"])
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"bad model config in checkpoint header: {e}") from None
+        if not isinstance(header["metadata"], dict) or not isinstance(header["tensors"], list):
+            raise CheckpointError("checkpoint header needs an object 'metadata' and a list 'tensors'")
         state = {}
-        for entry in header["tensors"]:
+        for index, entry in enumerate(header["tensors"]):
+            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                    and isinstance(entry.get("shape"), list)
+                    and all(type(d) is int and d >= 0 for d in entry["shape"])):
+                raise CheckpointError(f"tensors entry {index} needs a string 'name' "
+                                      f"and a 'shape' list of non-negative ints")
             shape = tuple(entry["shape"])
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-            raw = _read_exact(fh, n_bytes, f"tensor '{entry['name']}'")
+            raw = _read_exact(fh, 8 * math.prod(shape), f"tensor '{entry['name']}'")
             state[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")

@@ -4,12 +4,15 @@ Columns are typed automatically: anything that parses entirely as
 numbers is numerical, everything else (including binary yes/no style
 columns) is categorical and gets an ordinal code. Missing cells are
 imputed with the column mode, then every column is min-max scaled to
-[0, 1] using statistics fitted on the training split only.
+[0, 1] using statistics fitted on the training split only. A numerical
+column with an ``inf`` or ``nan`` cell is a schema error; a categorical
+column keeps such text as an ordinary category.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +66,17 @@ def read_kv_file(path) -> dict[str, str]:
 
 @dataclass
 class Table:
-    """Raw tabular data: per-column cell vectors plus binary labels."""
+    """Raw tabular data: per-column cell vectors plus binary labels.
+
+    Each column is parsed as numbers at most once (``parsed_column``);
+    the cells must not be changed after that.
+    """
 
     column_names: list[str]
     columns: list[list]          # cells are str | float | None
     labels: np.ndarray           # int array of {0, 1}
     split: str = ""
+    _parsed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.labels)
@@ -86,17 +94,34 @@ class Table:
     def n_features(self) -> int:
         return len(self.columns)
 
+    def parsed_column(self, j: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Observed-cell mask and float64 values of column j's observed cells.
+
+        None when an observed cell does not parse as a number; parsing
+        stops at that cell. The result is computed once and then reused.
+        """
+        if j not in self._parsed:
+            col = self.columns[j]
+            try:
+                values = [float(c) for c in col if c is not None]
+            except ValueError:
+                self._parsed[j] = None
+            else:
+                observed = np.array([c is not None for c in col], dtype=bool)
+                self._parsed[j] = observed, np.array(values, dtype=np.float64)
+        return self._parsed[j]
+
     def select_rows(self, indices, split: str = "") -> "Table":
-        indices = list(indices)
+        rows = np.asarray(indices).tolist()   # Python ints index lists faster than numpy ints
         return Table(
             column_names=list(self.column_names),
-            columns=[[col[i] for i in indices] for col in self.columns],
-            labels=self.labels[indices],
+            columns=[[col[i] for i in rows] for col in self.columns],
+            labels=self.labels[rows],
             split=split or self.split,
         )
 
     def select_columns(self, indices) -> "Table":
-        return Table(
+        return Table(   # a fresh Table: parses are keyed by column position
             column_names=[self.column_names[j] for j in indices],
             columns=[self.columns[j] for j in indices],
             labels=self.labels,
@@ -143,40 +168,40 @@ def load_csv(path, schema: SchemaConfig) -> Table:
     return Table(feature_names, columns, np.asarray(labels, dtype=np.int64))
 
 
-def _parse_number(cell):
-    if cell is None:
-        return None
-    if isinstance(cell, (int, float)):
-        return float(cell)
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
 def infer_column_kinds(table: Table, overrides: dict[str, str] | None = None) -> list[str]:
     """'numerical' when every observed cell parses as a number, else 'categorical'."""
     overrides = overrides or {}
     kinds = []
-    for name, col in zip(table.column_names, table.columns):
+    for j, (name, col) in enumerate(zip(table.column_names, table.columns)):
         if name in overrides:
             kinds.append(overrides[name])
             continue
-        observed = [c for c in col if c is not None]
-        if not observed:
+        if all(c is None for c in col):
             raise SchemaError(f"column '{name}' has no observed values")
-        numeric = all(_parse_number(c) is not None for c in observed)
-        kinds.append("numerical" if numeric else "categorical")
+        kinds.append("categorical" if table.parsed_column(j) is None else "numerical")
     return kinds
 
 
+def _numbers(table: Table, j: int, stage: str) -> tuple[np.ndarray, np.ndarray]:
+    """``parsed_column(j)`` of a numerical column; SchemaError unless all finite."""
+    parsed = table.parsed_column(j)
+    name = table.column_names[j]
+    if parsed is None:
+        raise SchemaError(f"column '{name}' is numerical but has non-numeric cells at {stage} time")
+    observed, values = parsed
+    finite = np.isfinite(values)
+    if not finite.all():
+        cell = table.columns[j][np.flatnonzero(observed)[np.argmin(finite)]]
+        raise SchemaError(f"column '{name}' is numerical but has the non-finite cell "
+                          f"{cell!r} at {stage} time")
+    return observed, values
+
+
 def _mode(values: list) -> object:
-    """Most frequent value; ties broken by sorted order."""
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
+    """Most frequent value; ties broken by sorted order, equal values by first seen."""
+    counts = Counter(values)
     best = max(counts.values())
-    return sorted(v for v, c in counts.items() if c == best)[0]
+    return min(v for v, c in counts.items() if c == best)
 
 
 @dataclass
@@ -231,25 +256,22 @@ def fit(table: Table, overrides: dict[str, str] | None = None) -> Preprocessor:
     modes: list = []
     mins: list[float] = []
     maxs: list[float] = []
-    for name, kind, col in zip(table.column_names, kinds, table.columns):
-        observed = [c for c in col if c is not None]
-        if not observed:
+    for j, (name, kind, col) in enumerate(zip(table.column_names, kinds, table.columns)):
+        if all(c is None for c in col):
             raise SchemaError(f"column '{name}' is entirely missing")
         if kind == "categorical":
-            as_str = [str(c) for c in observed]
+            as_str = [str(c) for c in col if c is not None]
             cats = sorted(set(as_str))
             categories.append(cats)
             modes.append(_mode(as_str))
             mins.append(0.0)
-            maxs.append(float(len(cats) - 1))
+            maxs.append(len(cats) - 1.0)
         else:
-            nums = [_parse_number(c) for c in observed]
-            if any(v is None for v in nums):
-                raise SchemaError(f"column '{name}' declared numerical but has non-numeric cells")
+            nums = _numbers(table, j, "fit")[1].tolist()
             categories.append(None)
             modes.append(_mode(nums))
-            mins.append(float(min(nums)))
-            maxs.append(float(max(nums)))
+            mins.append(min(nums))
+            maxs.append(max(nums))
     return Preprocessor(list(table.column_names), kinds, categories, modes, mins, maxs)
 
 
@@ -278,10 +300,9 @@ def transform(pre: Preprocessor, table: Table) -> EncodedMatrix:
                 dtype=np.float64,
             )
         else:
-            parsed = [_parse_number(c) if c is not None else mode for c in col]
-            if any(v is None for v in parsed):
-                raise SchemaError(f"column '{name}' has non-numeric cells at transform time")
-            codes = np.array(parsed, dtype=np.float64)
+            observed, values = _numbers(table, j, "transform")
+            codes = np.full(m, mode, dtype=np.float64)
+            codes[observed] = values
         if hi > lo:
             out[:, j] = np.clip((codes - lo) / (hi - lo), 0.0, 1.0)
         else:

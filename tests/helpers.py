@@ -2,14 +2,17 @@
 
 Everything here is independent of the library code paths it checks:
 finite-difference gradients, a per-element scan recurrence in plain
-Python loops, O(m^2) pairwise AUROC counting, and a 50-digit reference
-for the zero-order-hold closed form.
+Python loops, O(m^2) pairwise AUROC counting, a 50-digit reference
+for the zero-order-hold closed form, and a per-cell reference for the
+tabular preprocessing.
 """
 
 from __future__ import annotations
 
 import mpmath
 import numpy as np
+
+from mambatab.tabular import EncodedMatrix, Preprocessor, SchemaError
 
 
 def mp_discretize(a: float, b: float, delta: float) -> tuple[float, float]:
@@ -111,3 +114,94 @@ def pairwise_auroc(scores, labels) -> float:
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+# -- per-cell reference preprocessing -----------------------------------------
+# The earlier per-cell implementation of tabular.infer_column_kinds / fit /
+# transform: every cell goes through float() on each pass, with no caching.
+# It accepts inf/nan as numbers, so compare only finite tables against it.
+
+def _reference_parse_number(cell):
+    if cell is None:
+        return None
+    if isinstance(cell, (int, float)):
+        return float(cell)
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def reference_infer_column_kinds(table, overrides=None) -> list[str]:
+    overrides = overrides or {}
+    kinds = []
+    for name, col in zip(table.column_names, table.columns):
+        if name in overrides:
+            kinds.append(overrides[name])
+            continue
+        observed = [c for c in col if c is not None]
+        if not observed:
+            raise SchemaError(f"column '{name}' has no observed values")
+        numeric = all(_reference_parse_number(c) is not None for c in observed)
+        kinds.append("numerical" if numeric else "categorical")
+    return kinds
+
+
+def _reference_mode(values: list) -> object:
+    counts: dict = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    best = max(counts.values())
+    return sorted(v for v, c in counts.items() if c == best)[0]
+
+
+def reference_fit(table, overrides=None) -> Preprocessor:
+    kinds = reference_infer_column_kinds(table, overrides)
+    categories, modes, mins, maxs = [], [], [], []
+    for name, kind, col in zip(table.column_names, kinds, table.columns):
+        observed = [c for c in col if c is not None]
+        if not observed:
+            raise SchemaError(f"column '{name}' is entirely missing")
+        if kind == "categorical":
+            as_str = [str(c) for c in observed]
+            cats = sorted(set(as_str))
+            categories.append(cats)
+            modes.append(_reference_mode(as_str))
+            mins.append(0.0)
+            maxs.append(float(len(cats) - 1))
+        else:
+            nums = [_reference_parse_number(c) for c in observed]
+            if any(v is None for v in nums):
+                raise SchemaError(f"column '{name}' declared numerical but has non-numeric cells")
+            categories.append(None)
+            modes.append(_reference_mode(nums))
+            mins.append(float(min(nums)))
+            maxs.append(float(max(nums)))
+    return Preprocessor(list(table.column_names), kinds, categories, modes, mins, maxs)
+
+
+def reference_transform(pre: Preprocessor, table) -> EncodedMatrix:
+    out = np.zeros((table.n_rows, table.n_features), dtype=np.float64)
+    for j, (name, col) in enumerate(zip(table.column_names, table.columns)):
+        if name not in pre.column_names:
+            raise SchemaError(f"column '{name}' was not present at fit time")
+        k = pre.column_names.index(name)
+        kind, mode = pre.kinds[k], pre.modes[k]
+        lo, hi = pre.mins[k], pre.maxs[k]
+        if kind == "categorical":
+            index = {c: i for i, c in enumerate(pre.categories[k])}
+            mode_idx = index[mode]
+            codes = np.array(
+                [index.get(str(c), mode_idx) if c is not None else mode_idx for c in col],
+                dtype=np.float64,
+            )
+        else:
+            parsed = [_reference_parse_number(c) if c is not None else mode for c in col]
+            if any(v is None for v in parsed):
+                raise SchemaError(f"column '{name}' has non-numeric cells at transform time")
+            codes = np.array(parsed, dtype=np.float64)
+        if hi > lo:
+            out[:, j] = np.clip((codes - lo) / (hi - lo), 0.0, 1.0)
+        else:
+            out[:, j] = 0.0
+    return EncodedMatrix(out, table.labels.copy(), list(table.column_names), table.split)

@@ -139,7 +139,8 @@ class TestEval:
 
     @pytest.mark.parametrize("damage", [
         "drop_config", "drop_tensors", "drop_metadata", "unknown_config_key", "not_an_object",
-        "huge_header_len",
+        "huge_header_len", "no_training_metadata", "metadata_not_an_object", "tensors_not_a_list",
+        "tensor_without_name", "tensor_without_shape", "negative_dimension",
     ])
     def test_malformed_checkpoint_exits_one(self, dataset, tmp_path, damage, capsys):
         csv_path, schema_path = dataset
@@ -154,6 +155,17 @@ class TestEval:
             header["config"]["colour"] = "blue"
         elif damage == "not_an_object":
             header = list(header)
+        elif damage == "metadata_not_an_object":
+            header["metadata"] = ["schema", "columns", "split_seed", "preprocessor"]
+        elif damage == "tensors_not_a_list":
+            header["tensors"] = 5
+        elif damage == "tensor_without_name":
+            del header["tensors"][0]["name"]
+        elif damage == "tensor_without_shape":
+            del header["tensors"][0]["shape"]
+        elif damage == "negative_dimension":
+            header["tensors"][1]["shape"][0] = -header["tensors"][1]["shape"][0]
+        # "no_training_metadata" keeps the header: save() writes metadata={} by default
         header_bytes = json.dumps(header).encode()
         length = 2 ** 40 if damage == "huge_header_len" else len(header_bytes)
         bad = tmp_path / "bad.ckpt"
@@ -162,7 +174,28 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(bad), "--dataset", csv_path,
                      "--schema", schema_path, "--quiet"])
         assert code == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if damage.startswith("tensor_without_") or damage == "negative_dimension":
+            assert "tensors entry" in err
+        if damage == "no_training_metadata":
+            assert "schema" in err
+
+
+class TestDataErrors:
+    def test_non_finite_numeric_cell_exits_one(self, tmp_path, capsys):
+        table = synthetic.logistic_table(200, 4, 2, seed=0)
+        for row, cell in zip((1, 2, 5, 7), ("inf", "nan", "-inf", "nan")):
+            table.columns[0][row] = cell
+        csv_path = tmp_path / "bad.csv"
+        synthetic.write_csv(table, csv_path)
+        schema_path = tmp_path / "bad.schema"
+        schema_path.write_text("label_column = label\npositive_label = 1\n")
+        code = main(["train", "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--out", str(tmp_path / "run"), "--seeds", "0", "--max-epochs", "1",
+                     "--quiet"])
+        assert code == EXIT_USAGE
+        assert "column 'f0'" in capsys.readouterr().err
 
 
 class TestSweep:

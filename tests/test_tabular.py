@@ -1,3 +1,5 @@
+import builtins
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -9,6 +11,8 @@ from mambatab.tabular import (
     SchemaConfig, SchemaError, Table,
     fit, infer_column_kinds, load_csv, make_incremental_plan, split, transform,
 )
+
+from helpers import reference_fit, reference_infer_column_kinds, reference_transform
 
 
 def make_table(columns: dict, labels):
@@ -133,6 +137,140 @@ class TestTransform:
         test = make_table({"a": cells}, [0] * m)
         enc = transform(fit(train), test)
         assert np.all(enc.values >= 0.0) and np.all(enc.values <= 1.0)
+
+
+class TestNonFiniteCells:
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "-Infinity", float("nan")])
+    def test_inferred_numerical_column_rejected_at_fit(self, cell):
+        t = make_table({"a": ["1.5", None, cell, "2"]}, [0, 1, 0, 1])
+        with pytest.raises(SchemaError, match=r"column 'a'.*non-finite cell") as err:
+            fit(t)
+        assert repr(cell) in str(err.value)
+
+    def test_pinned_numerical_column_rejected_at_fit(self):
+        t = make_table({"a": ["1", "inf"]}, [0, 1])
+        with pytest.raises(SchemaError, match="'inf'"):
+            fit(t, {"a": "numerical"})
+
+    def test_rejected_at_transform(self):
+        pre = fit(make_table({"a": ["1", "2"]}, [0, 1]))
+        with pytest.raises(SchemaError, match=r"column 'a'.*'-inf' at transform time"):
+            transform(pre, make_table({"a": ["1", None, "-inf"]}, [0, 1, 0]))
+
+    def test_categorical_column_keeps_nan_as_category(self):
+        t = make_table({"a": ["nan", "x", "nan", "inf"]}, [0, 1, 0, 1])
+        pre = fit(t)
+        assert pre.kinds == ["categorical"]
+        assert pre.categories[0] == ["inf", "nan", "x"] and pre.modes[0] == "nan"
+        assert np.array_equal(transform(pre, t).values[:, 0], [0.5, 1.0, 0.5, 0.0])
+
+
+class TestParseOnce:
+    """Each observed cell goes through float() once per table, however often it is read."""
+
+    @pytest.fixture
+    def float_calls(self, monkeypatch):
+        calls = []
+
+        def counting_float(x):
+            calls.append(x)
+            return builtins.float(x)
+
+        monkeypatch.setattr(tabular, "float", counting_float, raising=False)
+        return calls
+
+    def test_fit_then_transform_parses_each_numeric_cell_once(self, float_calls):
+        t = make_table({
+            "n": ["1.5", None, "2", "-0.0", "1e3"],
+            "c": ["3", "4", "x", "5", None],
+            "m": [1.0, 2, None, np.float64(3.0), 4.0],
+        }, [0, 1, 0, 1, 0])
+        pre = fit(t)
+        transform(pre, t)
+        assert pre.kinds == ["numerical", "categorical", "numerical"]
+        # column c stops at its first non-number, "x"
+        assert float_calls == ["1.5", "2", "-0.0", "1e3", "3", "4", "x", 1.0, 2, 3.0, 4.0]
+        float_calls.clear()
+        other = make_table({"n": ["7", None], "c": ["x", "y"], "m": [None, "8"]}, [0, 1])
+        transform(pre, other)
+        transform(pre, other)
+        assert float_calls == ["7", "8"]
+
+    def test_pinned_categorical_column_is_not_parsed(self, float_calls):
+        t = make_table({"a": ["1", "2", "3"]}, [0, 1, 0])
+        transform(fit(t, {"a": "categorical"}), t)
+        assert float_calls == []
+
+    def test_select_columns_does_not_keep_old_positions(self):
+        t = make_table({"n": ["1", "2"], "c": ["x", "y"]}, [0, 1])
+        assert infer_column_kinds(t) == ["numerical", "categorical"]
+        sub = t.select_columns([1, 0])
+        assert infer_column_kinds(sub) == ["categorical", "numerical"]
+        assert transform(fit(sub), sub).values.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+
+
+# Cells for the reference comparison: number text (exponents, signed zeros,
+# padded ints), in-memory numbers, missing markers and category strings.
+# Non-finite cells are left out: the reference accepts them as numbers.
+NUMBER_TEXT = st.one_of(
+    st.sampled_from(["0", "-0.0", "0.0", "-0", "1e3", "1E-2", "-2.5e+01", "007", " 3 ", "1_0"]),
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-99, 99).map(str),
+)
+IN_MEMORY = st.one_of(st.floats(-1e6, 1e6), st.integers(-9, 9), st.sampled_from([0.0, -0.0]))
+CATEGORY = st.sampled_from(["red", "blue", "yes", "1,5", "", "?"])
+CELLS = {
+    "numeric": st.one_of(NUMBER_TEXT, IN_MEMORY, st.none()),
+    "mixed": st.one_of(NUMBER_TEXT, IN_MEMORY, st.none(), CATEGORY),
+}
+
+
+@st.composite
+def train_test_tables(draw):
+    n_cols = draw(st.integers(1, 3))
+    n_train, n_test = draw(st.integers(1, 8)), draw(st.integers(0, 5))
+    names = [f"c{j}" for j in range(n_cols)]
+    train, test = {}, {}
+    for name in names:
+        train_kind, test_kind = draw(st.sampled_from(list(CELLS))), draw(st.sampled_from(list(CELLS)))
+        train[name] = draw(st.lists(CELLS[train_kind], min_size=n_train, max_size=n_train))
+        test[name] = draw(st.lists(CELLS[test_kind], min_size=n_test, max_size=n_test))
+    overrides = draw(st.dictionaries(st.sampled_from(names),
+                                     st.sampled_from(["categorical", "numerical"]), max_size=1))
+    return train, test, [j % 2 for j in range(n_train)], [j % 2 for j in range(n_test)], overrides
+
+
+def _ingest(infer, fit_, transform_, train, test, overrides):
+    """Kinds, Preprocessor JSON and both encodings; or the type of the exception raised."""
+    try:
+        kinds = infer(train, overrides)
+        pre = fit_(train, overrides)
+        return kinds, json.dumps(asdict(pre), sort_keys=True), [transform_(pre, t) for t in (train, test)]
+    except Exception as e:   # the reference decides which failures are expected
+        return type(e)
+
+
+class TestMatchesPerCellReference:
+    @settings(max_examples=300, deadline=None)
+    @given(train_test_tables())
+    def test_same_preprocessor_and_encodings(self, case):
+        train_cols, test_cols, train_labels, test_labels, overrides = case
+
+        def tables():
+            return make_table(train_cols, train_labels), make_table(test_cols, test_labels)
+
+        got = _ingest(infer_column_kinds, fit, transform, *tables(), overrides)
+        want = _ingest(reference_infer_column_kinds, reference_fit, reference_transform,
+                       *tables(), overrides)
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert not isinstance(got, type), f"raised {got.__name__}, reference did not"
+        assert got[:2] == want[:2]
+        for g, w in zip(got[2], want[2]):
+            assert np.array_equal(g.values, w.values)
+            assert np.array_equal(np.signbit(g.values), np.signbit(w.values))
+            assert np.array_equal(g.labels, w.labels)
 
 
 class TestSplit:
