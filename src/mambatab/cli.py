@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, model as model_mod, tabular, training
-from .model import MambaTabModel, ModelConfig, count_parameters
+from .model import MambaTabModel, ModelConfig
 from .tabular import SchemaConfig, SchemaError, Table
 from .tensor import NumericsError
 from .training import Stage, TrainConfig
@@ -77,6 +77,7 @@ class RunSpec:
             raise UsageError(f"unknown regime '{self.regime}', expected one of {REGIMES}")
         if not self.seeds:
             raise UsageError("need at least one seed")
+        self.train_config(0)   # rejects bad training fields before any output is written
 
     def model_config(self, n_features: int, head: str = "classification") -> ModelConfig:
         return ModelConfig(
@@ -108,7 +109,6 @@ class SeedOutcome:
     checkpoint_metadata: dict
     model: MambaTabModel
     wall_time_s: float
-    param_count: int
 
 
 def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -> SeedOutcome:
@@ -178,7 +178,6 @@ def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -
         checkpoint_metadata=base_meta,
         model=best,
         wall_time_s=time.perf_counter() - t0,
-        param_count=count_parameters(best),
     )
 
 
@@ -211,7 +210,7 @@ def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
     results = [o.result for o in outcomes]
     mean, std = metrics.aggregate(results)
     acc_mean = float(np.mean([r.accuracy for r in results]))
-    param_count = outcomes[0].param_count
+    param_count = outcomes[0].report_payload["report"]["param_count"]
     summary = {
         "regime": spec.regime,
         "n_seeds": len(spec.seeds),
@@ -257,14 +256,25 @@ def cmd_eval(checkpoint_path: str, dataset: str, schema_path: str,
     if missing:
         raise model_mod.CheckpointError(
             f"{checkpoint_path} has no training metadata: lacks keys {missing}")
-    schema = SchemaConfig(meta["schema"]["label_column"], meta["schema"]["positive_label"])
+    saved = meta["schema"]
+    if not (isinstance(saved, dict) and isinstance(saved.get("label_column"), str)
+            and isinstance(saved.get("positive_label"), str)):
+        raise model_mod.CheckpointError(f"{checkpoint_path}: metadata 'schema' needs string "
+                                        f"'label_column' and 'positive_label'")
+    if type(meta["split_seed"]) is not int or meta["split_seed"] < 0:
+        raise model_mod.CheckpointError(f"{checkpoint_path}: metadata 'split_seed' must be a "
+                                        f"non-negative int, got {meta['split_seed']!r}")
+    try:
+        pre = tabular.Preprocessor.from_dict(meta["preprocessor"])
+    except ValueError as e:
+        raise model_mod.CheckpointError(f"{checkpoint_path}: metadata {e}") from None
+    schema = SchemaConfig(saved["label_column"], saved["positive_label"])
     if schema_path:
         schema = SchemaConfig.from_file(schema_path)
     table = tabular.load_csv(dataset, schema)
     if table.column_names != meta["columns"]:
         raise SchemaError(
             f"dataset columns {table.column_names} differ from checkpoint's {meta['columns']}")
-    pre = tabular.Preprocessor.from_dict(meta["preprocessor"])
     _, _, test_t = tabular.split(table, meta["split_seed"])
     enc_test = tabular.transform(pre, test_t)
     if enc_test.n_features != model.config.n_features:

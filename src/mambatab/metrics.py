@@ -41,10 +41,10 @@ def auroc(scores, labels) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def accuracy(scores, labels, threshold: float = 0.5) -> float:
+def accuracy(scores, labels) -> float:
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
-    return float(np.mean((scores >= threshold).astype(np.int64) == labels))
+    return float(np.mean((scores >= 0.5).astype(np.int64) == labels))
 
 
 def evaluate(scores, labels, seed: int = 0) -> EvalResult:

@@ -38,22 +38,16 @@ class ModelConfig:
     expand: int = 2
     d_conv: int = 4
     n_blocks: int = 1
-    seq_len: int = 1
     head: str = "classification"
     use_layer_norm: bool = True
 
     def __post_init__(self):
         for name in ("n_features", "embed_dim", "state_size", "expand", "d_conv", "n_blocks"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seq_len != 1:
-            raise ValueError("only seq_len == 1 is supported; the embedding forms one token")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if self.head not in ("classification", "reconstruction"):
             raise ValueError(f"unknown head kind '{self.head}'")
-
-    @property
-    def dt_rank(self) -> int:
-        return ssm.dt_rank_for(self.embed_dim)
 
     @property
     def head_out(self) -> int:
@@ -61,6 +55,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        d = dict(d)
+        if d.pop("seq_len", 1) != 1:   # older headers carry "seq_len": 1
+            raise ValueError("only seq_len == 1 is supported; the embedding forms one token")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
@@ -114,10 +111,10 @@ class MambaTabModel:
         if self.config.use_layer_norm:
             h = T.layer_norm(h, self.ln_gamma, self.ln_beta)
         h = T.relu(h)
-        h = T.reshape(h, (x.shape[0], self.config.seq_len, self.config.embed_dim))
+        h = T.reshape(h, (x.shape[0], 1, self.config.embed_dim))   # one token
         for block in self.blocks:
             h = ssm.mamba_block_forward(block, h) + h
-        flat = T.reshape(h, (x.shape[0], self.config.seq_len * self.config.embed_dim))
+        flat = T.reshape(h, (x.shape[0], self.config.embed_dim))
         return T.linear(flat, self.head_w, self.head_b)
 
     def predict_proba(self, values: np.ndarray, batch_size: int = 1024) -> np.ndarray:
@@ -150,16 +147,11 @@ class MambaTabModel:
                 raise ValueError(f"shape mismatch for '{name}': {arr.shape} vs {p.data.shape}")
             p.data = arr.copy()
 
-    def clone(self) -> "MambaTabModel":
-        out = MambaTabModel(self.config, rng=0)
-        out.load_state_dict(self.state_dict())
-        return out
-
 
 def _init_head(config: ModelConfig, rng: np.random.Generator):
-    fan_in = config.seq_len * config.embed_dim
-    bound = 1.0 / math.sqrt(fan_in)
-    w = Tensor(rng.uniform(-bound, bound, size=(fan_in, config.head_out)), requires_grad=True)
+    bound = 1.0 / math.sqrt(config.embed_dim)
+    w = Tensor(rng.uniform(-bound, bound, size=(config.embed_dim, config.head_out)),
+               requires_grad=True)
     b = Tensor(np.zeros(config.head_out), requires_grad=True)
     return w, b
 

@@ -61,8 +61,6 @@ class SsmParams:
     x_proj_w: Tensor     # [D_inner, dt_rank + 2N], no bias
     dt_proj_w: Tensor    # [dt_rank, D_inner]
     dt_proj_b: Tensor    # [D_inner]
-    state_size: int
-    dt_rank: int
 
     def named_parameters(self):
         return [
@@ -83,8 +81,6 @@ class MambaBlockParams:
     ssm: SsmParams
     out_proj_w: Tensor   # [E*D, D]
     out_proj_b: Tensor   # [D]
-    expand: int
-    d_conv: int
 
     @property
     def d_inner(self) -> int:
@@ -121,8 +117,6 @@ def init_ssm_params(d_inner: int, state_size: int, dt_rank: int,
         x_proj_w=_uniform(rng, d_inner, (d_inner, dt_rank + 2 * state_size)),
         dt_proj_w=_uniform(rng, dt_rank, (dt_rank, d_inner)),
         dt_proj_b=Tensor(dt_bias, requires_grad=True),
-        state_size=state_size,
-        dt_rank=dt_rank,
     )
 
 
@@ -137,8 +131,6 @@ def init_mamba_block(embed_dim: int, expand: int, state_size: int, d_conv: int,
         ssm=init_ssm_params(d_inner, state_size, dt_rank_for(embed_dim), rng),
         out_proj_w=_uniform(rng, d_inner, (d_inner, embed_dim)),
         out_proj_b=Tensor(np.zeros(embed_dim), requires_grad=True),
-        expand=expand,
-        d_conv=d_conv,
     )
 
 
@@ -163,7 +155,7 @@ def generate_selective_coeffs(params: SsmParams, conv_out: Tensor):
     Returns (delta, B_t, C_t): delta [B, L, D_inner] strictly positive via
     softplus, B_t and C_t [B, L, N].
     """
-    r, n = params.dt_rank, params.state_size
+    r, n = params.dt_proj_w.shape[0], params.a_log.shape[1]
     dbc = T.linear(conv_out, params.x_proj_w)
     dt_pre = dbc[..., :r]
     b_t = dbc[..., r:r + n]

@@ -12,12 +12,14 @@ column keeps such text as an ordinary category.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 MISSING_TOKENS = {"", "?"}
+KINDS = ("categorical", "numerical")
 
 
 class SchemaError(ValueError):
@@ -43,7 +45,7 @@ class SchemaConfig:
         kinds = {}
         for key, val in values.items():
             if key.startswith("kind."):
-                if val not in ("categorical", "numerical"):
+                if val not in KINDS:
                     raise SchemaError(f"unknown column kind '{val}' for {key}")
                 kinds[key[len("kind."):]] = val
         return cls(values.get("label_column", ""), values["positive_label"], kinds)
@@ -52,7 +54,7 @@ class SchemaConfig:
 def read_kv_file(path) -> dict[str, str]:
     """Parse a plain ``key = value`` text file; '#' starts a comment line."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -133,9 +135,11 @@ def load_csv(path, schema: SchemaConfig) -> Table:
     """Read a comma-separated file with a header row into a Table.
 
     Cells equal to '' or '?' are missing. Label cells equal to the
-    schema's positive value map to 1, everything else to 0.
+    schema's positive value map to 1, everything else to 0. A UTF-8 byte
+    order mark is skipped; a ``kind.*`` key naming no feature column is
+    an error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -150,6 +154,10 @@ def load_csv(path, schema: SchemaConfig) -> Table:
         else:
             label_idx = len(header) - 1
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        unknown = sorted(set(schema.kinds) - set(feature_names))
+        if unknown:
+            raise SchemaError(f"{path}: schema keys {['kind.' + k for k in unknown]} "
+                              f"name no feature column of {feature_names}")
         columns: list[list] = [[] for _ in feature_names]
         labels: list[int] = []
         for row in reader:
@@ -204,6 +212,10 @@ def _mode(values: list) -> object:
     return min(v for v, c in counts.items() if c == best)
 
 
+def _is_real(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
 @dataclass
 class Preprocessor:
     """Fitted per-column encoding state; immutable after fit."""
@@ -221,6 +233,30 @@ class Preprocessor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Preprocessor":
+        """Rebuild from ``asdict`` output; ValueError names the first bad key."""
+        keys = [f.name for f in fields(cls)]
+        if not isinstance(d, dict):
+            raise ValueError("preprocessor is not an object")
+        wrong = sorted(set(keys) ^ set(d))
+        if wrong:
+            raise ValueError(f"preprocessor has missing or unknown keys {wrong}")
+        n = len(d["column_names"]) if isinstance(d["column_names"], list) else -1
+        for key in keys:
+            if not isinstance(d[key], list) or len(d[key]) != n:
+                raise ValueError(f"preprocessor '{key}' must be a list as long as 'column_names'")
+        for j, kind in enumerate(d["kinds"]):
+            cats, mode = d["categories"][j], d["modes"][j]
+            ok = {"column_names": isinstance(d["column_names"][j], str), "kinds": kind in KINDS,
+                  "mins": _is_real(d["mins"][j]), "maxs": _is_real(d["maxs"][j])}
+            if kind == "categorical":
+                ok["categories"] = isinstance(cats, list) and all(isinstance(c, str) for c in cats)
+                ok["modes"] = ok["categories"] and mode in cats
+            else:
+                ok["categories"] = cats is None
+                ok["modes"] = _is_real(mode)
+            bad = [key for key in keys if not ok[key]]
+            if bad:
+                raise ValueError(f"preprocessor '{bad[0]}' has a bad entry {j}")
         return cls(
             column_names=list(d["column_names"]),
             kinds=list(d["kinds"]),

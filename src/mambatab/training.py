@@ -32,6 +32,10 @@ _STREAM_VAL_MASK = 2
 _STREAM_HEAD = 3
 _STREAM_STAGE = 4
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def derive_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
@@ -42,13 +46,14 @@ class TrainConfig:
     max_epochs: int = 1000
     patience: int = 5
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 128
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.lr <= 0:
@@ -100,8 +105,7 @@ class AdamState:
                    v=[np.zeros_like(p.data) for p in params])
 
 
-def adam_step(params: list[Tensor], state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
     """One bias-corrected update, in place. Parameters with no grad stay put."""
     state.step += 1
     t = state.step
@@ -109,13 +113,13 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float,
         if p.grad is None:
             continue
         g = p.grad
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _abort(cause: NumericsError, report: TrainReport, epoch: int, seed: int) -> NumericsError:
@@ -173,7 +177,7 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
     ``batch_loss(idx)`` builds the loss of the training rows ``idx``;
     ``validate()`` returns the epoch's validation loss and AUROC (or None).
     Adam follows a cosine schedule; the model is snapshotted at each new
-    validation minimum and the best snapshot is returned.
+    validation minimum, and the model is returned holding the best snapshot.
     """
     rng = derive_rng(cfg.seed, _STREAM_SHUFFLE)
     params = [p for _, p in model.named_parameters()]
@@ -190,7 +194,7 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
                 loss.backward()
             except NumericsError as e:
                 raise _abort(e, report, epoch, cfg.seed) from e
-            adam_step(params, opt, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step(params, opt, lr)
             losses.append(loss.item())
         report.train_loss.append(float(np.mean(losses)))
         vl, auc = validate()
@@ -204,9 +208,8 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
             report.early_stopped = True
             break
     report.best_epoch = stopper.best_epoch
-    best = model.clone()
-    best.load_state_dict(best_state)
-    return best, report
+    model.load_state_dict(best_state)
+    return model, report
 
 
 def train_supervised(model: MambaTabModel, train: EncodedMatrix, val: EncodedMatrix,

@@ -6,7 +6,6 @@ import pytest
 
 from mambatab import cli, model as model_mod, synthetic
 from mambatab.cli import EXIT_OK, EXIT_USAGE, RunSpec, cmd_eval, cmd_sweep, cmd_train, main
-from mambatab.model import MambaTabModel, ModelConfig
 from mambatab.tabular import SchemaConfig
 
 
@@ -19,6 +18,28 @@ def dataset(tmp_path_factory):
     schema_path = root / "toy.schema"
     schema_path.write_text("label_column = label\npositive_label = 1\n")
     return str(csv_path), str(schema_path)
+
+
+@pytest.fixture(scope="module")
+def trained_ckpt(dataset, tmp_path_factory):
+    """A checkpoint with full training metadata, written by ``mambatab train``."""
+    out = tmp_path_factory.mktemp("trained")
+    cmd_train(quick_spec(dataset, out, seeds=[0], max_epochs=1), quiet=True)
+    return out / "seed_0" / "model.ckpt"
+
+
+def read_header(path) -> dict:
+    raw = path.read_bytes()
+    return json.loads(raw[16:16 + struct.unpack("<Q", raw[8:16])[0]])
+
+
+def rewrite_header(src, dst, header: dict, length: int | None = None) -> None:
+    """Copy checkpoint ``src`` to ``dst`` with ``header`` in place of its own."""
+    raw = src.read_bytes()
+    header_bytes = json.dumps(header).encode()
+    old_len = struct.unpack("<Q", raw[8:16])[0]
+    dst.write_bytes(raw[:8] + struct.pack("<Q", len(header_bytes) if length is None else length)
+                    + header_bytes + raw[16 + old_len:])
 
 
 def quick_spec(dataset, out_dir, **overrides) -> RunSpec:
@@ -137,19 +158,62 @@ class TestEval:
                      "--dataset", str(other_csv), "--schema", schema_path, "--quiet"])
         assert code == EXIT_USAGE
 
+    def test_saved_header_has_no_seq_len(self, trained_ckpt):
+        assert "seq_len" not in read_header(trained_ckpt)["config"]
+
+    def test_legacy_seq_len_header_loads(self, dataset, trained_ckpt, tmp_path):
+        csv_path, schema_path = dataset
+        header = read_header(trained_ckpt)
+        header["config"]["seq_len"] = 1    # as written before the field was dropped
+        legacy = tmp_path / "legacy.ckpt"
+        rewrite_header(trained_ckpt, legacy, header)
+        new_state = model_mod.load(trained_ckpt).state_dict()
+        old_state = model_mod.load(legacy).state_dict()
+        assert old_state.keys() == new_state.keys()
+        for name, arr in new_state.items():
+            assert np.array_equal(old_state[name], arr)
+        assert (cmd_eval(str(legacy), csv_path, schema_path, quiet=True)
+                == cmd_eval(str(trained_ckpt), csv_path, schema_path, quiet=True))
+
     @pytest.mark.parametrize("damage", [
         "drop_config", "drop_tensors", "drop_metadata", "unknown_config_key", "not_an_object",
         "huge_header_len", "no_training_metadata", "metadata_not_an_object", "tensors_not_a_list",
         "tensor_without_name", "tensor_without_shape", "negative_dimension",
+        "legacy_seq_len_2", "preprocessor_without_kinds", "schema_not_an_object",
+        "split_seed_not_an_int", "null_mins", "unknown_kind", "float_embed_dim",
     ])
-    def test_malformed_checkpoint_exits_one(self, dataset, tmp_path, damage, capsys):
+    def test_malformed_checkpoint_exits_one(self, dataset, trained_ckpt, tmp_path, damage,
+                                            capsys):
         csv_path, schema_path = dataset
-        good = tmp_path / "good.ckpt"
-        model_mod.save(MambaTabModel(ModelConfig(n_features=6, embed_dim=8, state_size=4)), good)
-        raw = good.read_bytes()
-        header_len = struct.unpack("<Q", raw[8:16])[0]
-        header = json.loads(raw[16:16 + header_len])
-        if damage.startswith("drop_"):
+        header = read_header(trained_ckpt)
+        meta = header["metadata"]
+        expect = {
+            "legacy_seq_len_2": "seq_len",
+            "preprocessor_without_kinds": "kinds",
+            "schema_not_an_object": "'schema'",
+            "split_seed_not_an_int": "'split_seed'",
+            "null_mins": "'mins'",
+            "unknown_kind": "'kinds'",
+            "float_embed_dim": "embed_dim",
+            "no_training_metadata": "schema",
+        }.get(damage, "")
+        if damage == "legacy_seq_len_2":
+            header["config"]["seq_len"] = 2
+        elif damage == "float_embed_dim":
+            header["config"]["embed_dim"] += 0.5
+        elif damage == "preprocessor_without_kinds":
+            del meta["preprocessor"]["kinds"]
+        elif damage == "schema_not_an_object":
+            meta["schema"] = "x"
+        elif damage == "split_seed_not_an_int":
+            meta["split_seed"] = "abc"
+        elif damage == "null_mins":
+            meta["preprocessor"]["mins"] = [None] * len(meta["preprocessor"]["mins"])
+        elif damage == "unknown_kind":
+            meta["preprocessor"]["kinds"] = ["weird"] * len(meta["preprocessor"]["kinds"])
+        elif damage == "no_training_metadata":
+            header["metadata"] = {}    # what a bare model.save writes
+        elif damage.startswith("drop_"):
             del header[damage[len("drop_"):]]
         elif damage == "unknown_config_key":
             header["config"]["colour"] = "blue"
@@ -165,12 +229,9 @@ class TestEval:
             del header["tensors"][0]["shape"]
         elif damage == "negative_dimension":
             header["tensors"][1]["shape"][0] = -header["tensors"][1]["shape"][0]
-        # "no_training_metadata" keeps the header: save() writes metadata={} by default
-        header_bytes = json.dumps(header).encode()
-        length = 2 ** 40 if damage == "huge_header_len" else len(header_bytes)
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(raw[:8] + struct.pack("<Q", length) + header_bytes
-                        + raw[16 + header_len:])
+        rewrite_header(trained_ckpt, bad, header,
+                       length=2 ** 40 if damage == "huge_header_len" else None)
         code = main(["eval", "--checkpoint", str(bad), "--dataset", csv_path,
                      "--schema", schema_path, "--quiet"])
         assert code == EXIT_USAGE
@@ -178,8 +239,7 @@ class TestEval:
         assert "error:" in err
         if damage.startswith("tensor_without_") or damage == "negative_dimension":
             assert "tensors entry" in err
-        if damage == "no_training_metadata":
-            assert "schema" in err
+        assert expect in err
 
 
 class TestDataErrors:
@@ -196,6 +256,47 @@ class TestDataErrors:
                      "--quiet"])
         assert code == EXIT_USAGE
         assert "column 'f0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bom_in", ["csv", "schema", "both"])
+    def test_byte_order_mark_keeps_schema_kinds(self, tmp_path, bom_in):
+        table = synthetic.logistic_table(200, 4, 2, seed=0)
+        csv_path = tmp_path / "bom.csv"
+        synthetic.write_csv(table, csv_path)
+        schema_path = tmp_path / "bom.schema"
+        # kind.f0 on the first line: a BOM left in place would hide the key
+        schema_path.write_text("kind.f0 = categorical\nlabel_column = label\npositive_label = 1\n")
+        for path in {"csv": [csv_path], "schema": [schema_path],
+                     "both": [csv_path, schema_path]}[bom_in]:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code = main(["train", "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--out", str(tmp_path / "run"), "--seeds", "0", "--max-epochs", "1",
+                     "--quiet"])
+        assert code == EXIT_OK
+        _, meta = model_mod.load_with_metadata(tmp_path / "run" / "seed_0" / "model.ckpt")
+        assert meta["columns"][0] == "f0"
+        assert meta["preprocessor"]["kinds"][:2] == ["categorical", "numerical"]
+
+    def test_unknown_kind_key_exits_one(self, dataset, tmp_path, capsys):
+        csv_path, _ = dataset
+        schema_path = tmp_path / "typo.schema"
+        schema_path.write_text("label_column = label\npositive_label = 1\nkind.nope = categorical\n")
+        code = main(["train", "--dataset", csv_path, "--schema", str(schema_path),
+                     "--out", str(tmp_path / "run"), "--seeds", "0", "--quiet"])
+        assert code == EXIT_USAGE
+        assert "kind.nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--batch-size", "0", "batch_size"),
+        ("--batch-size", "-5", "batch_size"),
+        ("--max-epochs", "-3", "max_epochs"),
+    ])
+    def test_bad_training_size_exits_one(self, dataset, tmp_path, capsys, flag, value, field):
+        csv_path, schema_path = dataset
+        code = main(["train", "--dataset", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "run"), "--seeds", "0", flag, value, "--quiet"])
+        assert code == EXIT_USAGE
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()    # rejected before any output
 
 
 class TestSweep:

@@ -390,3 +390,21 @@ class TestCsvAndSchema:
         pre = fit(t)
         clone = tabular.Preprocessor.from_dict(asdict(pre))
         assert clone == pre
+
+    @pytest.mark.parametrize("key,value", [
+        ("kinds", ["categorical", "weird"]),
+        ("mins", [0.0, None]),
+        ("maxs", [1.0, float("inf")]),
+        ("modes", ["z", 1.0]),                # categorical mode outside its categories
+        ("modes", ["x", "1.0"]),              # numerical mode that is not a number
+        ("categories", [["x", "y"], ["1"]]),  # numerical column with categories
+        ("categories", [None, None]),         # categorical column without them
+        ("column_names", ["a", 3]),
+        ("maxs", [1.0]),                      # shorter than column_names
+    ])
+    def test_preprocessor_from_dict_names_bad_key(self, key, value):
+        t = make_table({"a": ["x", "y", "x"], "n": [1.0, 3.0, None]}, [0, 1, 0])
+        d = asdict(fit(t))
+        d[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            tabular.Preprocessor.from_dict(d)

@@ -145,6 +145,7 @@ class TestTrainSupervised:
         model = MambaTabModel(ModelConfig(n_features=5, embed_dim=8, state_size=4), rng=3)
         cfg = TrainConfig(seed=5, max_epochs=60, patience=3, lr=1e-2)
         best, report = train_supervised(model, tr, va, cfg)
+        assert best is model                           # restored in place, not copied
         assert report.best_epoch < report.epochs_run   # the snapshot is not the last epoch
         logits = best.forward(va.values)
         vl = bce_with_logits(logits, va.labels).item()
