@@ -33,8 +33,7 @@ print(f"trained {report.epochs_run} epochs in {elapsed:.1f}s "
       f"(early stop: {report.early_stopped}, best epoch {report.best_epoch})")
 print(f"val loss: {report.val_loss[0]:.4f} -> {min(report.val_loss):.4f}")
 
-scores = best.predict_proba(enc_test.values)
-result = metrics.evaluate(scores, enc_test.labels)
+result = metrics.evaluate(best.predict_logits(enc_test.values), enc_test.labels)
 print(f"test AUROC {result.auroc:.4f}   accuracy {result.accuracy:.4f} "
       f"({result.n_pos} pos / {result.n_neg} neg)")
 

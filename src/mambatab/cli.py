@@ -165,8 +165,7 @@ def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -
         main_report = stage_reports[-1]
         base_meta["plan"] = {"s1": plan.s1, "s2": plan.s2, "s3": plan.s3}
 
-    scores = best.predict_proba(enc_test.values)
-    result = metrics.evaluate(scores, enc_test.labels, seed=seed)
+    result = metrics.evaluate(best.predict_logits(enc_test.values), enc_test.labels, seed=seed)
     main_report.test_auroc = result.auroc
     main_report.test_accuracy = result.accuracy
     payload["report"] = asdict(main_report)
@@ -281,8 +280,8 @@ def cmd_eval(checkpoint_path: str, dataset: str, schema_path: str,
         raise SchemaError(
             f"checkpoint expects {model.config.n_features} features, "
             f"dataset provides {enc_test.n_features}")
-    scores = model.predict_proba(enc_test.values)
-    result = metrics.evaluate(scores, enc_test.labels, seed=meta.get("seed", 0))
+    result = metrics.evaluate(model.predict_logits(enc_test.values), enc_test.labels,
+                              seed=meta.get("seed", 0))
     if not quiet:
         print(f"test AUROC {result.auroc:.4f}")
         print(f"test accuracy {result.accuracy:.4f}")

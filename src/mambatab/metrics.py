@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
+
+from .tensor import _sigmoid
 
 
 class UndefinedMetricError(ValueError):
@@ -37,8 +38,25 @@ def auroc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"AUROC undefined with {n_pos} positives and {n_neg} negatives")
-    ranks = rankdata(scores)  # average ranks resolve ties at half credit
+    ranks = _average_ranks(scores)  # average ranks resolve ties at half credit
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, each run of equal values sharing its mean rank.
+
+    A run over sorted positions s+1..e gets (s + 1 + e) / 2, a half-integer,
+    so sums of ranks are exact in float64.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new_run = np.ones(xs.size, dtype=bool)
+    new_run[1:] = xs[1:] != xs[:-1]
+    bounds = np.flatnonzero(np.append(new_run, True))   # run starts, then the size
+    starts, ends = bounds[:-1], bounds[1:]
+    ranks = np.empty(xs.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def accuracy(scores, labels) -> float:
@@ -47,11 +65,18 @@ def accuracy(scores, labels) -> float:
     return float(np.mean((scores >= 0.5).astype(np.int64) == labels))
 
 
-def evaluate(scores, labels, seed: int = 0) -> EvalResult:
+def evaluate(logits, labels, seed: int = 0) -> EvalResult:
+    """AUROC of the logits themselves, accuracy of their probabilities.
+
+    Ranking the logits keeps the order that float64 probabilities lose
+    above a logit of about 36.7, where the sigmoid rounds to 1.0. The 0.5
+    threshold stays on the probabilities, because the rounded sigmoid of a
+    logit just below 0 can be exactly 0.5.
+    """
     labels = np.asarray(labels).reshape(-1)
     return EvalResult(
-        auroc=auroc(scores, labels),
-        accuracy=accuracy(scores, labels),
+        auroc=auroc(logits, labels),
+        accuracy=accuracy(_sigmoid(np.asarray(logits, dtype=np.float64)), labels),
         n_pos=int((labels == 1).sum()),
         n_neg=int((labels == 0).sum()),
         seed=seed,

@@ -17,10 +17,9 @@ import struct
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import ssm, tensor as T
-from .tensor import Tensor
+from .tensor import Tensor, _sigmoid
 
 CHECKPOINT_MAGIC = b"MTCK"
 CHECKPOINT_VERSION = 1
@@ -48,10 +47,21 @@ class ModelConfig:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if self.head not in ("classification", "reconstruction"):
             raise ValueError(f"unknown head kind '{self.head}'")
+        if type(self.use_layer_norm) is not bool:
+            raise ValueError(f"use_layer_norm must be a bool, got {self.use_layer_norm!r}")
 
     @property
     def head_out(self) -> int:
         return 1 if self.head == "classification" else self.n_features
+
+    @property
+    def param_count(self) -> int:
+        """Closed-form learnable-scalar count of the model this config builds."""
+        d = self.embed_dim
+        block = ssm.block_param_count(d, self.expand, self.state_size, self.d_conv,
+                                      ssm.dt_rank_for(d))
+        # embed w + b, layer norm gamma + beta, blocks, head w + b
+        return self.n_features * d + 3 * d + self.n_blocks * block + (d + 1) * self.head_out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -117,12 +127,19 @@ class MambaTabModel:
         flat = T.reshape(h, (x.shape[0], self.config.embed_dim))
         return T.linear(flat, self.head_w, self.head_b)
 
-    def predict_proba(self, values: np.ndarray, batch_size: int = 1024) -> np.ndarray:
-        """Classification probabilities for [m, n_features] rows, chunked."""
+    def predict_logits(self, values: np.ndarray, batch_size: int = 1024) -> np.ndarray:
+        """Classification logits [m] for [m, n_features] rows, chunked."""
         if self.config.head != "classification":
-            raise ValueError("predict_proba requires a classification head")
-        chunks = [expit(z[:, 0]) for _, z in self.forward_chunks(values, batch_size)]
-        return np.concatenate(chunks)
+            raise ValueError("predictions require a classification head")
+        return np.concatenate([z[:, 0] for _, z in self.forward_chunks(values, batch_size)])
+
+    def predict_proba(self, values: np.ndarray, batch_size: int = 1024) -> np.ndarray:
+        """Classification probabilities [m] for [m, n_features] rows, chunked.
+
+        Float64 rounds every probability above a logit of about 36.7 to
+        exactly 1.0, so rank the logits when ties matter.
+        """
+        return _sigmoid(self.predict_logits(values, batch_size))
 
     def forward_chunks(self, values: np.ndarray, batch_size: int = 1024):
         """Yield (row slice, forward output array) over [m, n_features] rows, in order.
@@ -249,7 +266,7 @@ def load_with_metadata(path) -> tuple[MambaTabModel, dict]:
         (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
         try:
             header = json.loads(_read_exact(fh, header_len, "header"))
-        except json.JSONDecodeError as e:
+        except ValueError as e:   # not JSON, or not UTF-8
             raise CheckpointError(f"corrupt checkpoint header: {e}") from None
         if not isinstance(header, dict):
             raise CheckpointError("checkpoint header is not a JSON object")
@@ -262,16 +279,27 @@ def load_with_metadata(path) -> tuple[MambaTabModel, dict]:
             raise CheckpointError(f"bad model config in checkpoint header: {e}") from None
         if not isinstance(header["metadata"], dict) or not isinstance(header["tensors"], list):
             raise CheckpointError("checkpoint header needs an object 'metadata' and a list 'tensors'")
-        state = {}
-        for index, entry in enumerate(header["tensors"]):
+        entries = header["tensors"]
+        for index, entry in enumerate(entries):
             if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                     and isinstance(entry.get("shape"), list)
                     and all(type(d) is int and d >= 0 for d in entry["shape"])):
                 raise CheckpointError(f"tensors entry {index} needs a string 'name' "
                                       f"and a 'shape' list of non-negative ints")
-            shape = tuple(entry["shape"])
-            raw = _read_exact(fh, 8 * math.prod(shape), f"tensor '{entry['name']}'")
-            state[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        # The payload reads below are bounded by the file size; matching the
+        # config's count to them first bounds what building the model allocates.
+        listed = sum(math.prod(entry["shape"]) for entry in entries)
+        if listed != config.param_count:
+            sizes = ", ".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config))
+            raise CheckpointError(f"checkpoint config ({sizes}) implies {config.param_count} "
+                                  f"parameters, its 'tensors' list {listed}")
+        state = {}
+        for entry in entries:
+            name, shape = entry["name"], tuple(entry["shape"])
+            raw = _read_exact(fh, 8 * math.prod(shape), f"tensor '{name}'")
+            state[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            if not np.all(np.isfinite(state[name])):
+                raise CheckpointError(f"tensor '{name}' holds non-finite values")
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
     model = MambaTabModel(config, rng=0)

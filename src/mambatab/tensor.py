@@ -10,7 +10,6 @@ instead of letting bad values propagate into the optimizer.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 
 class NumericsError(ArithmeticError):
@@ -222,18 +221,29 @@ def texp(x: Tensor) -> Tensor:
     return _make(data, (x,), lambda g: (g * data,), "exp")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) as exp(min(x, 0)) / (1 + exp(-|x|)).
+
+    Both exponents are <= 0, so nothing overflows; underflow toward 0 is
+    the correct limit and is not reported.
+    """
+    with np.errstate(under="ignore"):
+        return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    s = expit(x.data)
+    s = _sigmoid(x.data)
     return _make(s, (x,), lambda g: (g * s * (1.0 - s),), "sigmoid")
 
 
 def softplus(x: Tensor) -> Tensor:
-    data = np.logaddexp(0.0, x.data)
-    return _make(data, (x,), lambda g: (g * expit(x.data),), "softplus")
+    with np.errstate(under="ignore"):   # log(1 + e) with e underflowing to 0
+        data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
+    return _make(data, (x,), lambda g: (g * _sigmoid(x.data),), "softplus")
 
 
 def silu(x: Tensor) -> Tensor:
-    s = expit(x.data)
+    s = _sigmoid(x.data)
     data = x.data * s
     return _make(data, (x,),
                  lambda g: (g * s * (1.0 + x.data * (1.0 - s)),),

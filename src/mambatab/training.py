@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import metrics, tensor as T
 from .model import MambaTabModel, count_parameters, swap_head, transfer_weights
@@ -224,9 +223,8 @@ def train_supervised(model: MambaTabModel, train: EncodedMatrix, val: EncodedMat
 
     def validate():
         vl, logits = _validation_pass(model, val.values, val.labels, bce_with_logits)
-        scores = np.concatenate([expit(z[:, 0]) for z in logits])
         try:
-            return vl, metrics.auroc(scores, val.labels)
+            return vl, metrics.auroc(np.concatenate([z[:, 0] for z in logits]), val.labels)
         except metrics.UndefinedMetricError:
             return vl, None
 

@@ -2,9 +2,10 @@
 
 Everything here is independent of the library code paths it checks:
 finite-difference gradients, a per-element scan recurrence in plain
-Python loops, O(m^2) pairwise AUROC counting, a 50-digit reference
-for the zero-order-hold closed form, and a per-cell reference for the
-tabular preprocessing.
+Python loops, O(m^2) pairwise AUROC counting, pure-Python average
+ranks, 50-digit references for the zero-order-hold closed form and for
+the sigmoid and softplus, and a per-cell reference for the tabular
+preprocessing.
 """
 
 from __future__ import annotations
@@ -114,6 +115,44 @@ def pairwise_auroc(scores, labels) -> float:
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def reference_average_ranks(values) -> list[float]:
+    """1-based ranks, ties sharing the mean position of their run.
+
+    Plain Python: sort the positions by value (stable), walk runs of equal
+    values, and give every member of a run the mean of its positions.
+    """
+    values = [float(v) for v in values]
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start
+        while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
+            end += 1
+        mean_position = sum(range(start + 1, end + 2)) / (end - start + 1)
+        for i in order[start:end + 1]:
+            ranks[i] = mean_position
+        start = end + 1
+    return ranks
+
+
+def mp_sigmoid(x: float) -> mpmath.mpf:
+    with mpmath.workdps(50):
+        return 1 / (1 + mpmath.exp(-mpmath.mpf(x)))
+
+
+def mp_softplus(x: float) -> mpmath.mpf:
+    with mpmath.workdps(50):
+        return mpmath.log1p(mpmath.exp(mpmath.mpf(x)))
+
+
+def ulp_error(got: float, exact: mpmath.mpf) -> float:
+    """|got - exact| in units of the float64 spacing at the rounded exact value."""
+    with mpmath.workdps(50):
+        spacing = float(np.spacing(abs(float(exact))))
+        return float(abs(mpmath.mpf(got) - exact) / spacing)
 
 
 # -- per-cell reference preprocessing -----------------------------------------

@@ -1,10 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mambatab import cli, model as model_mod, synthetic
+from mambatab import cli, metrics, model as model_mod, synthetic, tabular
 from mambatab.cli import EXIT_OK, EXIT_USAGE, RunSpec, cmd_eval, cmd_sweep, cmd_train, main
 from mambatab.tabular import SchemaConfig
 
@@ -181,6 +186,7 @@ class TestEval:
         "tensor_without_name", "tensor_without_shape", "negative_dimension",
         "legacy_seq_len_2", "preprocessor_without_kinds", "schema_not_an_object",
         "split_seed_not_an_int", "null_mins", "unknown_kind", "float_embed_dim",
+        "string_use_layer_norm",
     ])
     def test_malformed_checkpoint_exits_one(self, dataset, trained_ckpt, tmp_path, damage,
                                             capsys):
@@ -195,12 +201,15 @@ class TestEval:
             "null_mins": "'mins'",
             "unknown_kind": "'kinds'",
             "float_embed_dim": "embed_dim",
+            "string_use_layer_norm": "use_layer_norm",
             "no_training_metadata": "schema",
         }.get(damage, "")
         if damage == "legacy_seq_len_2":
             header["config"]["seq_len"] = 2
         elif damage == "float_embed_dim":
             header["config"]["embed_dim"] += 0.5
+        elif damage == "string_use_layer_norm":
+            header["config"]["use_layer_norm"] = "false"
         elif damage == "preprocessor_without_kinds":
             del meta["preprocessor"]["kinds"]
         elif damage == "schema_not_an_object":
@@ -240,6 +249,143 @@ class TestEval:
         if damage.startswith("tensor_without_") or damage == "negative_dimension":
             assert "tensors entry" in err
         assert expect in err
+
+    def test_eval_ranks_logits_beyond_sigmoid_saturation(self, dataset, trained_ckpt, tmp_path):
+        # Spread the head so about half the test rows have logits above 40,
+        # where float64 probabilities are exactly 1.0 and would tie.
+        csv_path, schema_path = dataset
+        model, meta = model_mod.load_with_metadata(trained_ckpt)
+        table = tabular.load_csv(csv_path, SchemaConfig.from_file(schema_path))
+        _, _, test_t = tabular.split(table, meta["split_seed"])
+        enc = tabular.transform(tabular.Preprocessor.from_dict(meta["preprocessor"]), test_t)
+        z = model.predict_logits(enc.values)
+        scale = 50.0 / (z.max() - z.min())
+        model.head_w.data = model.head_w.data * scale
+        model.head_b.data = model.head_b.data * scale + 40.0 - scale * np.median(z)
+        spread = tmp_path / "spread.ckpt"
+        model_mod.save(model, spread, metadata=meta)
+        logits = model.predict_logits(enc.values)
+        assert np.sum(logits > 40.0) >= 5
+        result = cmd_eval(str(spread), csv_path, schema_path, quiet=True)
+        assert result.auroc == metrics.auroc(logits, enc.labels)
+        assert result.auroc != metrics.auroc(model.predict_proba(enc.values), enc.labels)
+
+    def test_huge_config_rejected_before_building_a_model(self, dataset, trained_ckpt, tmp_path,
+                                                          monkeypatch, capsys):
+        csv_path, schema_path = dataset
+        header = read_header(trained_ckpt)
+        header["config"]["embed_dim"] = 2 ** 31
+        bad = tmp_path / "huge.ckpt"
+        rewrite_header(trained_ckpt, bad, header)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was built from an unchecked config")
+
+        monkeypatch.setattr(model_mod, "MambaTabModel", refuse)
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", csv_path,
+                     "--schema", schema_path, "--quiet"])
+        assert code == EXIT_USAGE
+        assert "embed_dim=2147483648" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_exits_one(self, dataset, trained_ckpt, tmp_path, value, capsys):
+        csv_path, schema_path = dataset
+        raw = bytearray(trained_ckpt.read_bytes())
+        first = read_header(trained_ckpt)["tensors"][0]["name"]
+        start = 16 + struct.unpack("<Q", raw[8:16])[0]
+        raw[start:start + 8] = np.float64(value).tobytes()
+        bad = tmp_path / "nonfinite.ckpt"
+        bad.write_bytes(bytes(raw))
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", csv_path,
+                     "--schema", schema_path, "--quiet"])
+        assert code == EXIT_USAGE
+        assert f"tensor '{first}' holds non-finite values" in capsys.readouterr().err
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+               | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                        max_leaves=6)
+
+
+def _json_paths(node, prefix=()) -> list[tuple]:
+    """Every key/index path below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        paths += _json_paths(child, prefix + (key,))
+    return paths
+
+
+_DELETE = object()
+
+
+class TestCheckpointFuzz:
+    """Damaged checkpoints end in CheckpointError (exit 1), or load to a model
+    whose re-save is a fixed point and keeps every payload byte."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_damaged_checkpoint_errors_or_round_trips(self, dataset, trained_ckpt,
+                                                      tmp_path_factory, data):
+        raw = trained_ckpt.read_bytes()
+        payload_start = 16 + struct.unpack("<Q", raw[8:16])[0]
+        kind = data.draw(st.sampled_from(["truncate", "flip_header", "flip_payload",
+                                          "non_finite_payload", "rewrite"]))
+        if kind == "truncate":
+            damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "non_finite_payload":
+            # All exponent bits set: an infinity or a NaN, keeping sign and mantissa.
+            at = payload_start + 8 * data.draw(st.integers(0, (len(raw) - payload_start) // 8 - 1))
+            value = struct.unpack("<Q", raw[at:at + 8])[0] | (0x7FF << 52)
+            damaged = raw[:at] + struct.pack("<Q", value) + raw[at + 8:]
+        elif kind.startswith("flip_"):
+            lo, hi = (0, payload_start) if kind == "flip_header" else (payload_start, len(raw))
+            bit = data.draw(st.integers(8 * lo, 8 * hi - 1))
+            damaged = bytearray(raw)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            damaged = bytes(damaged)
+        else:
+            header = json.loads(raw[16:payload_start])
+            path = data.draw(st.sampled_from(_json_paths(header)))
+            value = data.draw(st.just(_DELETE) | _json_values())
+            parent = header
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            header_bytes = json.dumps(header).encode()
+            damaged = (raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes
+                       + raw[payload_start:])
+        self._check(damaged, tmp_path_factory.getbasetemp(), dataset[0],
+                    header_untouched=kind == "flip_payload")
+
+    @staticmethod
+    def _check(damaged: bytes, workdir: Path, csv_path: str, header_untouched: bool) -> None:
+        path = workdir / "fuzz.ckpt"
+        path.write_bytes(damaged)
+        try:
+            model, meta = model_mod.load_with_metadata(path)
+        except model_mod.CheckpointError:
+            assert main(["eval", "--checkpoint", str(path), "--dataset", csv_path,
+                         "--quiet"]) == EXIT_USAGE
+            return
+        assert all(np.all(np.isfinite(a)) for a in model.state_dict().values())
+        resaved = workdir / "resaved.ckpt"
+        model_mod.save(model, resaved, metadata=meta)
+        first = resaved.read_bytes()
+        assert first.endswith(damaged[16 + struct.unpack("<Q", damaged[8:16])[0]:])
+        if header_untouched:
+            assert first == damaged
+        again, meta_again = model_mod.load_with_metadata(resaved)
+        model_mod.save(again, resaved, metadata=meta_again)
+        assert resaved.read_bytes() == first
 
 
 class TestDataErrors:
@@ -324,6 +470,16 @@ class TestSweep:
 
 
 class TestMainEntry:
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, mambatab, mambatab.cli\n"
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
     def test_full_cli_invocation(self, dataset, tmp_path):
         csv_path, schema_path = dataset
         code = main([

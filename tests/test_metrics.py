@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mambatab.metrics import EvalResult, UndefinedMetricError, accuracy, aggregate, auroc, evaluate
+from mambatab.metrics import (EvalResult, UndefinedMetricError, _average_ranks, accuracy,
+                              aggregate, auroc, evaluate)
+from mambatab.tensor import _sigmoid
 
-from helpers import pairwise_auroc
+from helpers import pairwise_auroc, reference_average_ranks
+
+# Few distinct values, so most draws have long runs of ties; -0.0 ties with 0.0.
+_tied_values = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.5, -1e308, 1e308, 5e-324])
 
 
 class TestAuroc:
@@ -62,6 +67,24 @@ class TestAuroc:
         assert auroc(scores, labels) + auroc(scores, 1 - labels) == pytest.approx(1.0)
 
 
+class TestAverageRanks:
+    """Bit-for-bit agreement with the pure-Python run-walking reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_tied_values | st.floats(allow_nan=False), min_size=1, max_size=60))
+    def test_matches_reference_with_heavy_ties(self, values):
+        got = _average_ranks(np.array(values, dtype=np.float64))
+        want = np.array(reference_average_ranks(values), dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+
+    def test_signed_zeros_share_one_run(self):
+        assert _average_ranks(np.array([0.0, -0.0, 1.0, -0.0])).tolist() == [2.0, 2.0, 4.0, 2.0]
+
+    def test_one_element_and_all_equal(self):
+        assert _average_ranks(np.array([7.0])).tolist() == [1.0]
+        assert _average_ranks(np.full(5, 3.0)).tolist() == [3.0] * 5
+
+
 class TestAccuracyAndAggregate:
     def test_accuracy_at_half(self):
         assert accuracy([0.9, 0.2, 0.7, 0.4], [1, 0, 0, 0]) == pytest.approx(0.75)
@@ -79,6 +102,16 @@ class TestAccuracyAndAggregate:
     def test_identical_values_zero_std(self):
         results = [EvalResult(0.77, 0.7, 5, 5, s) for s in range(10)]
         assert aggregate(results) == (pytest.approx(0.77), 0.0)
+
+    def test_evaluate_ranks_logits_and_thresholds_probabilities(self):
+        # Above a logit of about 36.7 the float64 sigmoid is exactly 1.0, so
+        # probabilities tie the rows at 38 and 40 and score 0.625, not 0.75.
+        logits = np.array([38.0, 40.0, -3.0, 0.2])
+        labels = np.array([0, 1, 0, 1])
+        r = evaluate(logits, labels)
+        assert r.auroc == auroc(logits, labels) == 0.75
+        assert auroc(_sigmoid(logits), labels) == 0.625
+        assert r.accuracy == 0.75
 
     def test_evaluate_counts(self):
         r = evaluate([0.9, 0.1, 0.8], [1, 0, 1], seed=3)

@@ -104,6 +104,14 @@ class TestParameterCount:
                        - ssm.block_param_count(4, 2, 4, 4, ssm.dt_rank_for(4)))
         assert wide - base == delta_embed + delta_bias + delta_ln + delta_head + delta_block
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"n_blocks": 3}, {"embed_dim": 17}, {"embed_dim": 33, "state_size": 1},
+        {"expand": 1, "d_conv": 1}, {"head": "reconstruction"}, {"use_layer_norm": False},
+    ])
+    def test_config_closed_form_matches_built_model(self, overrides):
+        m = small_model(**overrides)
+        assert m.config.param_count == M.count_parameters(m)
+
     def test_non_embedding_shapes_independent_of_features(self):
         a = small_model(n_features=5)
         b = small_model(n_features=17)

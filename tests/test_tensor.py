@@ -4,7 +4,8 @@ import pytest
 from mambatab import tensor as T
 from mambatab.tensor import NumericsError, Tensor
 
-from helpers import check_gradients, finite_difference_grad, relative_error
+from helpers import (check_gradients, finite_difference_grad, mp_sigmoid, mp_softplus,
+                     relative_error, ulp_error)
 
 
 def rand(rng, *shape):
@@ -144,6 +145,48 @@ class TestBackward:
         y = w * 2.0
         (y + y * y).backward()
         assert w.grad == pytest.approx(2.0 + 8.0 * w.data)
+
+
+def _oracle_grid() -> np.ndarray:
+    edges = [0.0, -0.0, 1e-300, 36.7, 709.0, 745.0, 1e308, 1e-16, 0.5, 20.0]
+    rng = np.random.default_rng(11)
+    magnitudes = 10.0 ** rng.uniform(-300, 308, size=300)
+    return np.concatenate([edges, np.negative(edges), rng.normal(0.0, 40.0, size=500),
+                           magnitudes * rng.choice([-1.0, 1.0], size=300)])
+
+
+class TestSigmoidSoftplusOracle:
+    """The numpy forms against 50-digit mpmath: at most 4 ulp, finite, and
+    silent under np.errstate(all="raise") from -1e308 to 1e308."""
+
+    def test_sigmoid_within_4_ulp(self):
+        x = _oracle_grid()
+        with np.errstate(all="raise"):
+            got = T._sigmoid(x)
+        assert np.all(np.isfinite(got))
+        worst = max(ulp_error(g, mp_sigmoid(v)) for g, v in zip(got.tolist(), x.tolist()))
+        assert worst <= 4.0, worst
+
+    def test_softplus_forward_within_4_ulp(self):
+        x = _oracle_grid()
+        with np.errstate(all="raise"):
+            got = T.softplus(Tensor(x)).data
+        assert np.all(np.isfinite(got))
+        worst = max(ulp_error(g, mp_softplus(v)) for g, v in zip(got.tolist(), x.tolist()))
+        assert worst <= 4.0, worst
+
+    def test_sigmoid_keeps_the_limits_and_symmetry_point(self):
+        got = T._sigmoid(np.array([0.0, -0.0, 1e308, -1e308, 745.0, -746.0]))
+        assert got.tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+
+    def test_softplus_backward_and_silu_use_the_sigmoid(self):
+        x = _oracle_grid()
+        xt = Tensor(x, requires_grad=True)
+        with np.errstate(all="raise"):
+            T.softplus(xt).sum().backward()
+            silu = T.silu(Tensor(x)).data
+        assert np.array_equal(xt.grad, T._sigmoid(x))
+        assert np.array_equal(silu, x * T._sigmoid(x))
 
 
 class TestNumerics:

@@ -153,6 +153,22 @@ class TestTrainSupervised:
         auc = metrics.auroc(best.predict_proba(va.values), va.labels)
         assert report.val_auroc[report.best_epoch - 1] == auc
 
+    def test_validation_auroc_ranks_logits(self):
+        # Spread the head's logits so about half the validation rows sit above
+        # 40, where the float64 sigmoid is exactly 1.0 and probabilities tie.
+        table = synthetic.logistic_table(300, 3, 2, seed=5)
+        tr, va, _ = encoded(table)
+        model = MambaTabModel(ModelConfig(n_features=5, embed_dim=8, state_size=4), rng=3)
+        z = model.predict_logits(va.values)
+        scale = 50.0 / (z.max() - z.min())
+        model.head_w.data = model.head_w.data * scale
+        model.head_b.data = model.head_b.data * scale + 40.0 - scale * np.median(z)
+        best, report = train_supervised(model, tr, va, TrainConfig(seed=0, max_epochs=1, lr=1e-9))
+        logits = best.predict_logits(va.values)
+        assert np.sum(logits > 40.0) >= 5
+        assert report.val_auroc[0] == metrics.auroc(logits, va.labels)
+        assert report.val_auroc[0] != metrics.auroc(best.predict_proba(va.values), va.labels)
+
     def test_ssl_returned_model_is_best_snapshot(self):
         table = synthetic.logistic_table(150, 3, 2, seed=5)
         tr, va, _ = encoded(table)
