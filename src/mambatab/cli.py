@@ -61,16 +61,16 @@ class RunSpec:
     out_dir: str
     regime: str = "supervised"
     seeds: list[int] = field(default_factory=lambda: list(range(10)))
-    embed_dim: int = 32
-    state_size: int = 32
-    expand: int = 2
-    d_conv: int = 4
-    n_blocks: int = 1
-    use_layer_norm: bool = True
-    max_epochs: int = 1000
-    patience: int = 5
-    lr: float = 1e-4
-    batch_size: int = 128
+    embed_dim: int = ModelConfig.embed_dim
+    state_size: int = ModelConfig.state_size
+    expand: int = ModelConfig.expand
+    d_conv: int = ModelConfig.d_conv
+    n_blocks: int = ModelConfig.n_blocks
+    use_layer_norm: bool = ModelConfig.use_layer_norm
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    lr: float = TrainConfig.lr
+    batch_size: int = TrainConfig.batch_size
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -79,26 +79,16 @@ class RunSpec:
             raise UsageError("need at least one seed")
         self.train_config(0)   # rejects bad training fields before any output is written
 
+    def _shared(self, config_cls) -> dict:
+        """This spec's values of the fields it shares with ``config_cls``."""
+        own = {f.name for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(config_cls) if f.name in own}
+
     def model_config(self, n_features: int, head: str = "classification") -> ModelConfig:
-        return ModelConfig(
-            n_features=n_features,
-            embed_dim=self.embed_dim,
-            state_size=self.state_size,
-            expand=self.expand,
-            d_conv=self.d_conv,
-            n_blocks=self.n_blocks,
-            head=head,
-            use_layer_norm=self.use_layer_norm,
-        )
+        return ModelConfig(n_features=n_features, head=head, **self._shared(ModelConfig))
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            seed=seed,
-        )
+        return TrainConfig(seed=seed, **self._shared(TrainConfig))
 
 
 @dataclass
@@ -184,6 +174,14 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """A header of the first row's keys, then one line of values per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(rows[0]))
+        writer.writerows(list(row.values()) for row in rows)
+
+
 def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
     """Run every seed, write per-seed artifacts and the aggregate summary."""
     schema = SchemaConfig.from_file(spec.schema)
@@ -219,17 +217,12 @@ def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
         "param_count": param_count,
         "use_layer_norm": spec.use_layer_norm,
     }
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(summary))
-        writer.writerow([summary[k] for k in summary])
-    with open(out / "per_seed.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "auroc", "accuracy", "best_epoch", "epochs_run"])
-        for o in outcomes:
-            writer.writerow([o.seed, o.result.auroc, o.result.accuracy,
-                             o.report_payload["report"]["best_epoch"],
-                             o.report_payload["report"]["epochs_run"]])
+    _write_csv(out / "summary.csv", [summary])
+    _write_csv(out / "per_seed.csv", [
+        {"seed": o.seed, "auroc": o.result.auroc, "accuracy": o.result.accuracy,
+         "best_epoch": o.report_payload["report"]["best_epoch"],
+         "epochs_run": o.report_payload["report"]["epochs_run"]}
+        for o in outcomes])
     lines = [
         f"regime:          {spec.regime}",
         f"dataset:         {spec.dataset}",
@@ -308,12 +301,7 @@ def cmd_sweep(spec: RunSpec, knob: str, values: list[int], quiet: bool = False) 
         if not quiet:
             print(f"{knob}={value}: AUROC {row['auroc_mean']:.4f} "
                   f"+/- {row['auroc_std']:.4f}, {row['param_count']} params")
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["knob", "value", "auroc_mean", "auroc_std", "param_count"])
-        for row in rows:
-            writer.writerow([row["knob"], row["value"], row["auroc_mean"],
-                             row["auroc_std"], row["param_count"]])
+    _write_csv(out / "sweep.csv", rows)
     return rows
 
 
@@ -329,13 +317,14 @@ class _Parser(argparse.ArgumentParser):
 # no_layer_norm have syntax of their own.
 _SPEC_FIELDS = {f.name: type(f.default) for f in fields(RunSpec)
                 if type(f.default) in (str, int, float)}
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_ints(text: str, source: str) -> list[int]:
     try:
         return [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:
-        raise UsageError(f"bad seeds list: {text!r}") from None
+        raise UsageError(f"bad {source} list: {text!r}") from None
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -376,13 +365,17 @@ def _build_spec(args) -> RunSpec:
             except ValueError:
                 raise UsageError(f"bad value for config key {name}: {file_values[name]!r}") from None
     if args.seeds is not None:
-        kwargs["seeds"] = _parse_seeds(args.seeds)
+        kwargs["seeds"] = _parse_ints(args.seeds, "--seeds")
     elif "seeds" in file_values:
-        kwargs["seeds"] = _parse_seeds(file_values["seeds"])
+        kwargs["seeds"] = _parse_ints(file_values["seeds"], "config key seeds")
     if args.no_layer_norm:
         kwargs["use_layer_norm"] = False
-    elif file_values.get("no_layer_norm", "").lower() in ("1", "true", "yes"):
-        kwargs["use_layer_norm"] = False
+    elif "no_layer_norm" in file_values:
+        word = file_values["no_layer_norm"]
+        if word.lower() not in _FLAG_WORDS:
+            raise UsageError(f"bad value for config key no_layer_norm: {word!r}, "
+                             f"expected one of {sorted(_FLAG_WORDS)}")
+        kwargs["use_layer_norm"] = not _FLAG_WORDS[word.lower()]
     return RunSpec(**kwargs)
 
 
@@ -417,7 +410,7 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             cmd_eval(args.checkpoint, args.dataset, args.schema, quiet=args.quiet)
         elif args.command == "sweep":
-            values = _parse_seeds(args.values)
+            values = _parse_ints(args.values, "--values")
             cmd_sweep(_build_spec(args), args.knob, values, quiet=args.quiet)
         return EXIT_OK
     except (UsageError, SchemaError, model_mod.CheckpointError, FileNotFoundError, ValueError) as e:

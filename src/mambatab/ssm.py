@@ -207,8 +207,7 @@ def selective_scan(u: Tensor, delta: Tensor, b_t: Tensor, c_t: Tensor,
     return T.concat(outputs, axis=1)
 
 
-def mamba_block_forward(params: MambaBlockParams, u: Tensor,
-                        exact_zoh: bool = False) -> Tensor:
+def mamba_block_forward(params: MambaBlockParams, u: Tensor) -> Tensor:
     """Full gated block: shape-preserving [B, L, D] -> [B, L, D]."""
     d_inner = params.d_inner
     xz = T.linear(u, params.in_proj_w, params.in_proj_b)
@@ -217,6 +216,6 @@ def mamba_block_forward(params: MambaBlockParams, u: Tensor,
     x = T.silu(T.causal_conv1d(x, params.conv_kernel, params.conv_bias))
     delta, b_t, c_t = generate_selective_coeffs(params.ssm, x)
     a = -T.texp(params.ssm.a_log)
-    y = selective_scan(x, delta, b_t, c_t, a, params.ssm.d_skip, exact_zoh=exact_zoh)
+    y = selective_scan(x, delta, b_t, c_t, a, params.ssm.d_skip)
     y = y * T.silu(z)
     return T.linear(y, params.out_proj_w, params.out_proj_b)

@@ -136,8 +136,8 @@ def load_csv(path, schema: SchemaConfig) -> Table:
 
     Cells equal to '' or '?' are missing. Label cells equal to the
     schema's positive value map to 1, everything else to 0. A UTF-8 byte
-    order mark is skipped; a ``kind.*`` key naming no feature column is
-    an error.
+    order mark is skipped. A repeated header name, a ``kind.*`` key
+    naming no feature column and labels of only one class are errors.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -146,6 +146,9 @@ def load_csv(path, schema: SchemaConfig) -> Table:
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = sorted(name for name, n in Counter(header).items() if n > 1)
+        if repeated:
+            raise SchemaError(f"{path}: header repeats the column names {repeated}")
         if schema.label_column:
             if schema.label_column not in header:
                 raise SchemaError(
@@ -164,7 +167,8 @@ def load_csv(path, schema: SchemaConfig) -> Table:
             if not row:
                 continue
             if len(row) != len(header):
-                raise SchemaError(f"{path}: row with {len(row)} cells, expected {len(header)}")
+                raise SchemaError(f"{path}:{reader.line_num}: row with {len(row)} cells, "
+                                  f"expected {len(header)}")
             cells = [c.strip() for c in row]
             labels.append(1 if cells[label_idx] == schema.positive_label else 0)
             j = 0
@@ -173,6 +177,12 @@ def load_csv(path, schema: SchemaConfig) -> Table:
                     continue
                 columns[j].append(None if cell in MISSING_TOKENS else cell)
                 j += 1
+    n_pos = sum(labels)
+    if n_pos in (0, len(labels)):
+        raise SchemaError(
+            f"{path}: label_column '{header[label_idx]}' holds {n_pos} rows equal to "
+            f"positive_label '{schema.positive_label}' and {len(labels) - n_pos} other rows; "
+            f"both classes are needed")
     return Table(feature_names, columns, np.asarray(labels, dtype=np.int64))
 
 
@@ -226,10 +236,6 @@ class Preprocessor:
     modes: list                           # raw-space mode per column
     mins: list[float]                     # post-encoding minima
     maxs: list[float]
-
-    @property
-    def n_features(self) -> int:
-        return len(self.column_names)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Preprocessor":

@@ -5,6 +5,10 @@ state-space network needs, and a recorded graph that ``backward()``
 walks exactly once in reverse topological order. Every operation
 checks its output for NaN/Inf and raises :class:`NumericsError`
 instead of letting bad values propagate into the optimizer.
+
+The arithmetic operators take a Tensor on the left (``t + 1.0``, not
+``1.0 + t``), and ``getitem`` takes basic indices only: ints, slices,
+``...`` and ``None``.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ def _as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    # Outranks ndarray in mixed expressions so ndarray.__mul__ defers to us.
-    __array_priority__ = 1000.0
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
@@ -56,32 +58,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
     def __truediv__(self, other):
         return div(self, _wrap(other))
 
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
     def __neg__(self):
         return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -120,14 +107,12 @@ class Tensor:
                     stack.append((p, False))
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
+            g = pending.pop(id(node))
             if node._grad_fn is None:
                 node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._grad_fn(g)):
-                if pg is None or not parent.requires_grad:
+                if not parent.requires_grad:
                     continue
                 acc = pending.get(id(parent))
                 pending[id(parent)] = pg if acc is None else acc + pg
@@ -288,15 +273,14 @@ def _is_basic_index(idx) -> bool:
 
 
 def getitem(x: Tensor, idx) -> Tensor:
+    # Basic indices pick each element once, so += suffices; it also maps -0.0 to +0.0.
+    if not _is_basic_index(idx):
+        raise TypeError(f"getitem takes basic indices only, got {idx!r}")
     data = x.data[idx]
-    basic = _is_basic_index(idx)  # basic selections never overlap, += suffices
 
     def grad_fn(g):
         dx = np.zeros_like(x.data)
-        if basic:
-            dx[idx] += g
-        else:
-            np.add.at(dx, idx, g)
+        dx[idx] += g
         return (dx,)
 
     return _make(np.asarray(data, dtype=np.float64), (x,), grad_fn, "getitem")

@@ -431,6 +431,30 @@ class TestDataErrors:
         assert code == EXIT_USAGE
         assert "kind.nope" in capsys.readouterr().err
 
+    def test_one_class_label_column_exits_one_before_training(self, dataset, tmp_path,
+                                                               capsys):
+        csv_path, _ = dataset
+        schema_path = tmp_path / "typo.schema"
+        schema_path.write_text("label_column = label\npositive_label = 2\n")
+        code = main(["train", "--dataset", csv_path, "--schema", str(schema_path),
+                     "--out", str(tmp_path / "run"), "--seeds", "0", "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "label_column 'label' holds 0 rows equal to positive_label '2' and 300" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_repeated_header_name_exits_one(self, tmp_path, capsys):
+        table = synthetic.logistic_table(200, 4, 2, seed=0)
+        table.column_names[1] = "f0"
+        csv_path = tmp_path / "dup.csv"
+        synthetic.write_csv(table, csv_path)
+        schema_path = tmp_path / "dup.schema"
+        schema_path.write_text("label_column = label\npositive_label = 1\n")
+        code = main(["train", "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--out", str(tmp_path / "run"), "--seeds", "0", "--quiet"])
+        assert code == EXIT_USAGE
+        assert "repeats the column names ['f0']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value,field", [
         ("--batch-size", "0", "batch_size"),
         ("--batch-size", "-5", "batch_size"),
@@ -446,6 +470,18 @@ class TestDataErrors:
 
 
 class TestSweep:
+    def test_sweep_through_main(self, dataset, tmp_path, capsys):
+        csv_path, schema_path = dataset
+        args = ["sweep", "--dataset", csv_path, "--schema", schema_path, "--seeds", "0",
+                "--embed-dim", "8", "--max-epochs", "1", "--knob", "state-size", "--quiet"]
+        assert main(args + ["--out", str(tmp_path / "ok"), "--values", "4,8"]) == EXIT_OK
+        lines = (tmp_path / "ok" / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["state-size", "4"],
+                                                                ["state-size", "8"]]
+        assert main(args + ["--out", str(tmp_path / "bad"), "--values", "4,x"]) == EXIT_USAGE
+        assert "bad --values list: '4,x'" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     def test_sweep_table(self, dataset, tmp_path):
         spec = quick_spec(dataset, tmp_path / "sweep", seeds=[0], max_epochs=2)
         rows = cmd_sweep(spec, "state-size", [4, 8], quiet=True)
@@ -523,6 +559,26 @@ class TestMainEntry:
                      "--out", str(tmp_path / "bad_run"), "--config", str(cfg), "--quiet"])
         assert code == EXIT_USAGE
         assert "patience" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word,layer_norm", [
+        ("TRUE", False), ("Yes", False), ("1", False), ("no", True), ("False", True),
+        ("0", True), ("ture", None), ("", None), ("2", None),
+    ])
+    def test_config_no_layer_norm_values(self, dataset, tmp_path, capsys, word, layer_norm):
+        csv_path, schema_path = dataset
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_layer_norm = {word}\nmax_epochs = 1\nseeds = 0\n"
+                       f"embed_dim = 8\nstate_size = 4\n")
+        out = tmp_path / "run"
+        code = main(["train", "--dataset", csv_path, "--schema", schema_path,
+                     "--out", str(out), "--config", str(cfg), "--quiet"])
+        if layer_norm is None:
+            assert code == EXIT_USAGE
+            assert f"config key no_layer_norm: {word!r}" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == EXIT_OK
+            assert json.loads((out / "runspec.json").read_text())["use_layer_norm"] is layer_norm
 
     def test_missing_label_column_exits_one(self, dataset, tmp_path):
         csv_path, _ = dataset

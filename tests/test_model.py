@@ -225,6 +225,25 @@ class TestCheckpoint:
         loaded = M.load(path)
         assert loaded.config.embed_dim == 8 and loaded.config.n_blocks == 2
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        M.save(small_model(), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing bytes"):
+            M.load(path)
+
+    @pytest.mark.parametrize("damage,match", [
+        (lambda s: s.pop("head.b"), r"keys mismatch: \['head.b'\]"),
+        (lambda s: s.update(extra=np.zeros(1)), r"keys mismatch: \['extra'\]"),
+        (lambda s: s.update({"embed.b": np.zeros(3)}), "shape mismatch for 'embed.b'"),
+    ], ids=["missing_key", "unknown_key", "wrong_shape"])
+    def test_load_state_dict_names_the_bad_key(self, damage, match):
+        m = small_model()
+        state = m.state_dict()
+        damage(state)
+        with pytest.raises(ValueError, match=match):
+            m.load_state_dict(state)
+
     def test_save_is_deterministic(self, tmp_path):
         m = small_model(seed=12)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -1,5 +1,6 @@
 import builtins
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -360,6 +361,63 @@ class TestCsvAndSchema:
         csv_path.write_text("a,b\n1,2\n")
         with pytest.raises(SchemaError):
             load_csv(csv_path, SchemaConfig("nope", "1"))
+
+    @pytest.mark.parametrize("header,label,repeated", [
+        ("f0,f1,f0,label", "label", "['f0']"),
+        ("label,c,label", "label", "['label']"),
+        ("a,b,a,b,y", "", "['a', 'b']"),
+    ])
+    def test_repeated_header_names_rejected(self, tmp_path, header, label, repeated):
+        csv_path = tmp_path / "d.csv"
+        width = header.count(",") + 1
+        csv_path.write_text(header + "\n" + "".join(
+            ",".join(str(i + j) for j in range(width)) + "\n" for i in range(4)))
+        with pytest.raises(SchemaError, match=re.escape(f"repeats the column names {repeated}")):
+            load_csv(csv_path, SchemaConfig(label, "1"))
+
+    @pytest.mark.parametrize("body,positive,counts", [
+        ("1,2,yes\n3,4,yes\n", "yes", "holds 2 rows .* and 0 other rows"),
+        ("1,2,yes\n3,4,no\n", "Yes", "holds 0 rows .* and 2 other rows"),
+        ("", "yes", "holds 0 rows .* and 0 other rows"),
+    ], ids=["all_positive", "positive_label_typo", "header_only"])
+    def test_one_class_label_column_rejected(self, tmp_path, body, positive, counts):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,b,verdict\n" + body)
+        with pytest.raises(SchemaError) as err:
+            load_csv(csv_path, SchemaConfig("verdict", positive))
+        assert re.search(f"label_column 'verdict' {counts}", str(err.value))
+        assert f"positive_label '{positive}'" in str(err.value)
+
+    def test_missing_label_cell_is_negative(self, tmp_path):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,verdict\n1,yes\n2,\n3,?\n")
+        assert list(load_csv(csv_path, SchemaConfig("verdict", "yes")).labels) == [1, 0, 0]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,verdict\n\n1,yes\n\n2,no\n\n")
+        t = load_csv(csv_path, SchemaConfig("verdict", "yes"))
+        assert t.columns == [["1", "2"]] and list(t.labels) == [1, 0]
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "empty file"),
+        ("a,b,verdict\n1,2,yes\n3,no\n", r"d\.csv:3: row with 2 cells, expected 3"),
+    ], ids=["empty", "ragged_row"])
+    def test_malformed_csv_rejected(self, tmp_path, text, match):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text(text)
+        with pytest.raises(SchemaError, match=match):
+            load_csv(csv_path, SchemaConfig("verdict", "yes"))
+
+    @pytest.mark.parametrize("text,match", [
+        ("positive_label = 1\nkind.zip = ordinal\n", "'ordinal' for kind.zip"),
+        ("positive_label = 1\nlabel_column\n", r"schema\.cfg:2: expected 'key = value'"),
+    ], ids=["unknown_kind", "line_without_equals"])
+    def test_malformed_schema_file_rejected(self, tmp_path, text, match):
+        p = tmp_path / "schema.cfg"
+        p.write_text(text)
+        with pytest.raises(SchemaError, match=match):
+            SchemaConfig.from_file(p)
 
     def test_schema_file(self, tmp_path):
         p = tmp_path / "schema.cfg"

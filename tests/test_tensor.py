@@ -147,6 +147,25 @@ class TestBackward:
         assert w.grad == pytest.approx(2.0 + 8.0 * w.data)
 
 
+class TestOperatorForms:
+    """Operators take a Tensor on the left and getitem takes basic indices."""
+
+    @pytest.mark.parametrize("form", [
+        lambda t: 1.0 + t,
+        lambda t: 1.0 - t,
+        lambda t: 2.0 * t,
+        lambda t: 1.0 / t,
+        lambda t: np.ones(3) * t,
+        lambda t: t @ Tensor(np.ones((3, 1))),
+        lambda t: t[[0, 0]],
+        lambda t: t[np.array([True, False, True])],
+    ], ids=["radd", "rsub", "rmul", "rtruediv", "ndarray_mul", "matmul", "list_index",
+            "bool_mask"])
+    def test_unsupported_form_raises_type_error(self, form):
+        with pytest.raises(TypeError):
+            form(Tensor(np.arange(3.0), requires_grad=True))
+
+
 def _oracle_grid() -> np.ndarray:
     edges = [0.0, -0.0, 1e-300, 36.7, 709.0, 745.0, 1e308, 1e-16, 0.5, 20.0]
     rng = np.random.default_rng(11)

@@ -70,6 +70,12 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
 
+@pytest.mark.parametrize("field,value", [("patience", 0), ("lr", 0.0), ("lr", -1e-3)])
+def test_train_config_rejects_bad_value(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
 class TestCosineLr:
     def test_endpoints_and_midpoint(self):
         assert cosine_lr(0, 1000, 1e-4) == 1e-4
