@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -25,17 +26,11 @@ from . import metrics, model as model_mod, tabular, training
 from .model import MambaTabModel, ModelConfig
 from .tabular import SchemaConfig, SchemaError, Table
 from .tensor import NumericsError
-from .training import Stage, TrainConfig
+from .training import Stage, TrainConfig, child_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
-
-# spawn_key tags for per-seed run streams (training uses its own tags)
-_STREAM_SPLIT = 10
-_STREAM_INIT = 11
-_STREAM_TRAIN = 12
-_STREAM_PLAN = 13
 
 REGIMES = ("supervised", "incremental", "ssl")
 SWEEP_KNOBS = {
@@ -50,8 +45,8 @@ class UsageError(ValueError):
     pass
 
 
-def _child_seed(seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(1)[0])
+def _repeats(values: list) -> list:
+    return sorted(v for v, n in Counter(values).items() if n > 1)
 
 
 @dataclass
@@ -77,7 +72,11 @@ class RunSpec:
             raise UsageError(f"unknown regime '{self.regime}', expected one of {REGIMES}")
         if not self.seeds:
             raise UsageError("need at least one seed")
-        self.train_config(0)   # rejects bad training fields before any output is written
+        if repeated := _repeats(self.seeds):
+            raise UsageError(f"seeds repeat {repeated}; each seed needs its own run")
+        # reject bad model and training fields before any output is written
+        self.model_config(1)
+        self.train_config(0)
 
     def _shared(self, config_cls) -> dict:
         """This spec's values of the fields it shares with ``config_cls``."""
@@ -104,9 +103,9 @@ class SeedOutcome:
 def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -> SeedOutcome:
     """Split, preprocess, train under the requested regime, evaluate on test."""
     t0 = time.perf_counter()
-    split_seed = _child_seed(seed, _STREAM_SPLIT)
-    init_seed = _child_seed(seed, _STREAM_INIT)
-    train_seed = _child_seed(seed, _STREAM_TRAIN)
+    split_seed = child_seed(seed, training.STREAM_SPLIT)
+    init_seed = child_seed(seed, training.STREAM_INIT)
+    train_seed = child_seed(seed, training.STREAM_TRAIN)
     train_t, val_t, test_t = tabular.split(table, split_seed)
     pre = tabular.fit(train_t, overrides=schema.kinds)
     cfg = spec.train_config(train_seed)
@@ -138,7 +137,7 @@ def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -
         payload["pretrain_report"] = asdict(pre_report)
 
     else:  # incremental
-        plan_seed = _child_seed(seed, _STREAM_PLAN)
+        plan_seed = child_seed(seed, training.STREAM_PLAN)
         plan = tabular.make_incremental_plan(table.n_features, plan_seed)
         tr_chunks = np.array_split(np.arange(train_t.n_rows), 3)
         va_chunks = np.array_split(np.arange(val_t.n_rows), 3)
@@ -287,12 +286,16 @@ def cmd_sweep(spec: RunSpec, knob: str, values: list[int], quiet: bool = False) 
         raise UsageError(f"unknown sweep knob '{knob}', expected one of {sorted(SWEEP_KNOBS)}")
     if not values:
         raise UsageError("sweep needs at least one value")
+    if repeated := _repeats(values):
+        raise UsageError(f"sweep values repeat {repeated}; each value needs its own run")
     attr = SWEEP_KNOBS[knob]
     out = Path(spec.out_dir)
+    # every value's spec is checked before the first run writes anything
+    subs = [replace(spec, out_dir=str(out / f"{attr}_{value}"), **{attr: value})
+            for value in values]
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        sub = replace(spec, out_dir=str(out / f"{attr}_{value}"), **{attr: value})
+    for value, sub in zip(values, subs):
         summary = cmd_train(sub, quiet=True)
         row = {"knob": knob, "value": value,
                "auroc_mean": summary["auroc_mean"], "auroc_std": summary["auroc_std"],

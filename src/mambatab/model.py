@@ -194,13 +194,13 @@ def transfer_weights(old: MambaTabModel, new_config: ModelConfig,
         raise ValueError("column_mapping index out of range")
     if replace(old.config, n_features=new_config.n_features) != new_config:
         raise ValueError("only n_features may change across a transfer")
+    if new_config.head == "reconstruction":
+        raise ValueError("transfer with a reconstruction head is not supported")
     new = MambaTabModel(new_config, rng=0)
     state = old.state_dict()
     embed_w = np.zeros((new_config.n_features, new_config.embed_dim))
     embed_w[column_mapping, :] = state.pop("embed.w")
     state["embed.w"] = embed_w
-    if new_config.head == "reconstruction":
-        raise ValueError("transfer with a reconstruction head is not supported")
     new.load_state_dict(state)
     return new
 

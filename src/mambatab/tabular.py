@@ -191,12 +191,12 @@ def infer_column_kinds(table: Table, overrides: dict[str, str] | None = None) ->
     overrides = overrides or {}
     kinds = []
     for j, (name, col) in enumerate(zip(table.column_names, table.columns)):
-        if name in overrides:
-            kinds.append(overrides[name])
-            continue
         if all(c is None for c in col):
             raise SchemaError(f"column '{name}' has no observed values")
-        kinds.append("categorical" if table.parsed_column(j) is None else "numerical")
+        if name in overrides:
+            kinds.append(overrides[name])
+        else:
+            kinds.append("categorical" if table.parsed_column(j) is None else "numerical")
     return kinds
 
 
@@ -299,8 +299,6 @@ def fit(table: Table, overrides: dict[str, str] | None = None) -> Preprocessor:
     mins: list[float] = []
     maxs: list[float] = []
     for j, (name, kind, col) in enumerate(zip(table.column_names, kinds, table.columns)):
-        if all(c is None for c in col):
-            raise SchemaError(f"column '{name}' is entirely missing")
         if kind == "categorical":
             as_str = [str(c) for c in col if c is not None]
             cats = sorted(set(as_str))

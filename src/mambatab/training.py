@@ -24,12 +24,17 @@ from .model import MambaTabModel, count_parameters, swap_head, transfer_weights
 from .tabular import EncodedMatrix
 from .tensor import NumericsError, Tensor
 
-# spawn_key tags for the independent RNG streams derived from one seed
+# spawn_key tags for the independent RNG streams derived from one seed;
+# the cli derives each seed's split, init, training and plan seeds from 10-13
 _STREAM_SHUFFLE = 0
 _STREAM_MASK = 1
 _STREAM_VAL_MASK = 2
 _STREAM_HEAD = 3
 _STREAM_STAGE = 4
+STREAM_SPLIT = 10
+STREAM_INIT = 11
+STREAM_TRAIN = 12
+STREAM_PLAN = 13
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -38,6 +43,10 @@ ADAM_EPS = 1e-8
 
 def derive_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+
+
+def child_seed(seed: int, *key: int) -> int:
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
 @dataclass
@@ -287,8 +296,7 @@ class Stage:
 
 
 def stage_seed(root_seed: int, stage_index: int) -> int:
-    ss = np.random.SeedSequence(root_seed, spawn_key=(_STREAM_STAGE, stage_index))
-    return int(ss.generate_state(1)[0])
+    return child_seed(root_seed, _STREAM_STAGE, stage_index)
 
 
 def train_incremental(stages: list[Stage], base_config, cfg: TrainConfig,

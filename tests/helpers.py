@@ -2,10 +2,9 @@
 
 Everything here is independent of the library code paths it checks:
 finite-difference gradients, a per-element scan recurrence in plain
-Python loops, O(m^2) pairwise AUROC counting, pure-Python average
-ranks, 50-digit references for the zero-order-hold closed form and for
-the sigmoid and softplus, and a per-cell reference for the tabular
-preprocessing.
+Python loops, O(m^2) pairwise AUROC counting, 50-digit references for
+the zero-order-hold closed form and for the sigmoid and softplus, and a
+per-cell reference for the tabular preprocessing.
 """
 
 from __future__ import annotations
@@ -115,27 +114,6 @@ def pairwise_auroc(scores, labels) -> float:
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
-
-
-def reference_average_ranks(values) -> list[float]:
-    """1-based ranks, ties sharing the mean position of their run.
-
-    Plain Python: sort the positions by value (stable), walk runs of equal
-    values, and give every member of a run the mean of its positions.
-    """
-    values = [float(v) for v in values]
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    start = 0
-    while start < len(order):
-        end = start
-        while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
-            end += 1
-        mean_position = sum(range(start + 1, end + 2)) / (end - start + 1)
-        for i in order[start:end + 1]:
-            ranks[i] = mean_position
-        start = end + 1
-    return ranks
 
 
 def mp_sigmoid(x: float) -> mpmath.mpf:

@@ -459,6 +459,9 @@ class TestDataErrors:
         ("--batch-size", "0", "batch_size"),
         ("--batch-size", "-5", "batch_size"),
         ("--max-epochs", "-3", "max_epochs"),
+        ("--embed-dim", "0", "embed_dim"),
+        ("--m-blocks", "0", "n_blocks"),
+        ("--state-size", "-1", "state_size"),
     ])
     def test_bad_training_size_exits_one(self, dataset, tmp_path, capsys, flag, value, field):
         csv_path, schema_path = dataset
@@ -467,6 +470,68 @@ class TestDataErrors:
         assert code == EXIT_USAGE
         assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()    # rejected before any output
+
+
+class TestRunSpecChecks:
+    """A bad, repeated or missing spec value exits 1 before any output is written."""
+
+    @staticmethod
+    def run(dataset, out, *args):
+        csv_path, schema_path = dataset
+        return main([args[0], "--dataset", csv_path, "--schema", schema_path,
+                     "--out", str(out), *args[1:], "--quiet"])
+
+    def test_bad_sweep_value_exits_one_before_any_run(self, dataset, tmp_path, capsys):
+        code = self.run(dataset, tmp_path / "sweep", "sweep", "--knob", "embed-dim",
+                        "--values", "4,0", "--seeds", "0", "--state-size", "4",
+                        "--max-epochs", "1")
+        assert code == EXIT_USAGE
+        assert "embed_dim must be an int >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("seed_args,config,repeated", [
+        (["--seeds", "0,1,0,1"], "", "[0, 1]"),
+        ([], "seeds = 3,2,3\n", "[3]"),
+    ])
+    def test_repeated_seeds_exit_one(self, dataset, tmp_path, capsys, seed_args, config,
+                                     repeated):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{config}embed_dim = 8\nstate_size = 4\nmax_epochs = 1\n")
+        code = self.run(dataset, tmp_path / "run", "train", "--config", str(cfg), *seed_args)
+        assert code == EXIT_USAGE
+        assert f"seeds repeat {repeated}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_repeated_sweep_values_exit_one(self, dataset, tmp_path, capsys):
+        code = self.run(dataset, tmp_path / "sweep", "sweep", "--knob", "state-size",
+                        "--values", "4,8,4", "--seeds", "0", "--embed-dim", "8",
+                        "--max-epochs", "1")
+        assert code == EXIT_USAGE
+        assert "sweep values repeat [4]" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["train", "--seeds", ","], "need at least one seed"),
+        (["sweep", "--knob", "state-size", "--values", ","], "sweep needs at least one value"),
+    ])
+    def test_empty_list_exits_one(self, dataset, tmp_path, capsys, args, message):
+        assert self.run(dataset, tmp_path / "run", *args) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_config_key_exits_one(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("embed_dims = 8\nseeds = 0\n")
+        code = self.run(dataset, tmp_path / "run", "train", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "unknown config keys: ['embed_dims']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_sweep_knob_rejected(self, dataset, tmp_path):
+        spec = quick_spec(dataset, tmp_path / "sweep", seeds=[0], max_epochs=1)
+        with pytest.raises(cli.UsageError, match="unknown sweep knob 'depth'"):
+            cmd_sweep(spec, "depth", [1, 2], quiet=True)
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestSweep:

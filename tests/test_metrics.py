@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from mambatab.metrics import (EvalResult, UndefinedMetricError, _average_ranks, accuracy,
-                              aggregate, auroc, evaluate)
+from mambatab.metrics import EvalResult, UndefinedMetricError, accuracy, aggregate, auroc, evaluate
 from mambatab.tensor import _sigmoid
 
-from helpers import pairwise_auroc, reference_average_ranks
+from helpers import pairwise_auroc
 
 # Few distinct values, so most draws have long runs of ties; -0.0 ties with 0.0.
-_tied_values = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.5, -1e308, 1e308, 5e-324])
+_tied_values = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.5, -1e308, 1e308, 5e-324,
+                                -np.inf, np.inf])
 
 
 class TestAuroc:
@@ -26,6 +26,20 @@ class TestAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             auroc([0.1, 0.9], [1, 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_tied_values | st.floats(allow_nan=False), st.integers(0, 1)),
+                    min_size=2, max_size=60))
+    @example([(0.0, 1), (-0.0, 0), (1.0, 0), (-0.0, 1)])    # signed zeros tie
+    @example([(3.0, 1), (3.0, 0), (3.0, 1), (3.0, 0), (3.0, 0)])
+    def test_equals_pairwise_count_with_heavy_ties(self, rows):
+        scores, labels = (np.array(col) for col in zip(*rows))
+        assume(0 < labels.sum() < labels.size)
+        assert auroc(scores, labels) == pairwise_auroc(scores, labels)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            auroc([0.1, 0.9, 0.5], [1, 0])
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(5)
@@ -67,27 +81,13 @@ class TestAuroc:
         assert auroc(scores, labels) + auroc(scores, 1 - labels) == pytest.approx(1.0)
 
 
-class TestAverageRanks:
-    """Bit-for-bit agreement with the pure-Python run-walking reference."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(_tied_values | st.floats(allow_nan=False), min_size=1, max_size=60))
-    def test_matches_reference_with_heavy_ties(self, values):
-        got = _average_ranks(np.array(values, dtype=np.float64))
-        want = np.array(reference_average_ranks(values), dtype=np.float64)
-        assert got.tobytes() == want.tobytes()
-
-    def test_signed_zeros_share_one_run(self):
-        assert _average_ranks(np.array([0.0, -0.0, 1.0, -0.0])).tolist() == [2.0, 2.0, 4.0, 2.0]
-
-    def test_one_element_and_all_equal(self):
-        assert _average_ranks(np.array([7.0])).tolist() == [1.0]
-        assert _average_ranks(np.full(5, 3.0)).tolist() == [3.0] * 5
-
-
 class TestAccuracyAndAggregate:
     def test_accuracy_at_half(self):
         assert accuracy([0.9, 0.2, 0.7, 0.4], [1, 0, 0, 0]) == pytest.approx(0.75)
+
+    def test_no_results_rejected(self):
+        with pytest.raises(ValueError, match="zero results"):
+            aggregate([])
 
     def test_single_result(self):
         mean, std = aggregate([EvalResult(0.8, 0.7, 5, 5, 0)])

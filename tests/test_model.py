@@ -67,6 +67,11 @@ class TestForward:
         with pytest.raises(ValueError):
             small_model().forward(np.zeros((2, 7)))
 
+    def test_predict_logits_needs_classification_head(self):
+        m = small_model(head="reconstruction")
+        with pytest.raises(ValueError, match="classification head"):
+            m.predict_logits(np.zeros((2, 5)))
+
     def test_reconstruction_head_shape(self):
         m = small_model(head="reconstruction")
         out = m.forward(np.zeros((3, 5)))
@@ -160,6 +165,22 @@ class TestTransfer:
             M.transfer_weights(m, cfg, [0, 1, 9])
         with pytest.raises(ValueError):
             M.transfer_weights(m, ModelConfig(**{**SMALL, "n_features": 5, "expand": 3}), [0, 1, 2])
+
+    def test_short_mapping_rejected(self):
+        m = small_model(n_features=3)
+        with pytest.raises(ValueError, match="every old feature"):
+            M.transfer_weights(m, ModelConfig(**{**SMALL, "n_features": 5}), [0, 1])
+
+    def test_reconstruction_head_rejected_before_building_a_model(self, monkeypatch):
+        m = small_model(n_features=3, head="reconstruction")
+        cfg = ModelConfig(**{**SMALL, "n_features": 5, "head": "reconstruction"})
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a model was built before the head check")
+
+        monkeypatch.setattr(M, "MambaTabModel", no_build)
+        with pytest.raises(ValueError, match="reconstruction head"):
+            M.transfer_weights(m, cfg, [0, 1, 2])
 
 
 class TestSwapHead:

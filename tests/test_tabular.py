@@ -46,6 +46,22 @@ class TestColumnKinds:
         with pytest.raises(SchemaError):
             infer_column_kinds(t)
 
+    @pytest.mark.parametrize("kind", ["numerical", "categorical"])
+    def test_pinned_all_missing_column_errors(self, kind):
+        t = make_table({"a": ["1", "2"], "b": [None, None]}, [0, 1])
+        with pytest.raises(SchemaError, match="column 'b' has no observed values"):
+            infer_column_kinds(t, {"b": kind})
+
+
+class TestTableChecks:
+    def test_short_column_rejected(self):
+        with pytest.raises(SchemaError, match="column 'b' has 2 rows, labels have 3"):
+            make_table({"a": [1, 2, 3], "b": [1, 2]}, [0, 1, 0])
+
+    def test_label_outside_zero_one_rejected(self):
+        with pytest.raises(SchemaError, match="only 0 and 1"):
+            make_table({"a": [1, 2, 3]}, [0, 1, 2])
+
 
 class TestFit:
     def test_categorical_mode_and_categories(self):
@@ -466,3 +482,7 @@ class TestCsvAndSchema:
         d[key] = value
         with pytest.raises(ValueError, match=f"'{key}'"):
             tabular.Preprocessor.from_dict(d)
+
+    def test_preprocessor_from_dict_rejects_non_object(self):
+        with pytest.raises(ValueError, match="preprocessor is not an object"):
+            tabular.Preprocessor.from_dict(["a", "numerical"])

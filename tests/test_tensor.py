@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,12 @@ class TestCausalConv1d:
         kernel = Tensor(np.tile([0.0, 0.0, 0.0, 1.0], (3, 1)))
         out = T.causal_conv1d(u, kernel, T.zeros(3))
         assert np.allclose(out.data, u.data)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3,), (3, 0)])
+    def test_mismatched_kernel_rejected(self, shape):
+        u = Tensor(np.zeros((2, 5, 3)))
+        with pytest.raises(ValueError, match=f"kernel shape {re.escape(str(shape))}"):
+            T.causal_conv1d(u, Tensor(np.zeros(shape)), T.zeros(3))
 
     def test_hand_unrolled(self):
         u = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1))

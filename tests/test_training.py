@@ -117,6 +117,25 @@ class TestTrainSupervised:
         best, report = train_supervised(model, tr, va, cfg)
         assert metrics.auroc(best.predict_proba(va.values), va.labels) >= 0.95
 
+    def test_head_kind_checked(self):
+        tr, va, _ = encoded(synthetic.logistic_table(60, 3, 1, seed=2))
+        cfg = TrainConfig(seed=0, max_epochs=1)
+        recon = MambaTabModel(ModelConfig(n_features=4, embed_dim=8, state_size=4,
+                                          head="reconstruction"), rng=0)
+        with pytest.raises(ValueError, match="train_supervised needs a classification head"):
+            train_supervised(recon, tr, va, cfg)
+        clf = MambaTabModel(ModelConfig(n_features=4, embed_dim=8, state_size=4), rng=0)
+        with pytest.raises(ValueError, match="pretrain_ssl needs a reconstruction head"):
+            pretrain_ssl(clf, tr, va, cfg)
+
+    def test_one_class_validation_split_records_no_auroc(self):
+        tr, va, _ = encoded(synthetic.logistic_table(120, 3, 1, seed=2))
+        va = replace(va, labels=np.zeros_like(va.labels))
+        model = MambaTabModel(ModelConfig(n_features=4, embed_dim=8, state_size=4), rng=0)
+        _, report = train_supervised(model, tr, va, TrainConfig(seed=0, max_epochs=3))
+        assert report.val_auroc == [None] * 3
+        assert all(math.isfinite(v) for v in report.val_loss)
+
     def test_best_epoch_is_argmin_of_val_loss(self):
         table = synthetic.logistic_table(120, 3, 1, seed=2)
         tr, va, _ = encoded(table)
@@ -373,4 +392,12 @@ class TestIncremental:
         ]
         with pytest.raises(ValueError):
             train_incremental(bad, ModelConfig(n_features=6, embed_dim=8, state_size=4),
+                              TrainConfig(seed=0, max_epochs=1))
+
+    def test_unsorted_stage_columns_rejected(self):
+        tr, va, _ = encoded(synthetic.logistic_table(200, 3, 3, seed=13))
+        stages = [Stage(train=tr, val=va, columns=[0, 1]),
+                  Stage(train=tr, val=va, columns=[2, 0, 1])]
+        with pytest.raises(ValueError, match="stage columns must be sorted"):
+            train_incremental(stages, ModelConfig(n_features=6, embed_dim=8, state_size=4),
                               TrainConfig(seed=0, max_epochs=1))

@@ -1,0 +1,85 @@
+"""Run a fixed CLI protocol and print a digest of every deterministic artifact.
+
+    python3 tools/parity_gate.py --out DIR > digests.txt
+
+Writes the criterion-7 table (1000 rows, 6 informative and 6 noise
+columns, seed 0) and its schema into DIR, then runs through
+``mambatab.cli.main``:
+
+- ``train --seeds 0,1`` into ``sup/``;
+- ``train --regime ssl --max-epochs 40 --seeds 0`` into ``ssl/``;
+- ``train --regime incremental --seeds 0`` into ``inc/``;
+- ``eval`` of ``sup/seed_1/model.ckpt``, its stdout saved to ``eval.txt``;
+- ``sweep --knob state-size --values 4,8 --seeds 0 --max-epochs 5`` into
+  ``sweep/``.
+
+It then prints ``sha256  path`` for every file under DIR except
+``timing.json``, sorted by path. Progress goes to stderr. It exits with
+the failing command's code if any command fails.
+
+The package is imported from the ``src/`` next to this file's ``tools/``,
+so a copy of this file dropped into another checkout runs that
+checkout's code. A change meant to keep every artifact byte-identical
+passes when both checkouts print the same digests for the same DIR path
+(``runspec.json`` records the paths). The protocol takes minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mambatab import cli, synthetic  # noqa: E402
+
+
+def protocol(out: Path) -> list[list[str]]:
+    data = ["--dataset", str(out / "c7.csv"), "--schema", str(out / "c7.schema")]
+    return [
+        ["train", *data, "--out", str(out / "sup"), "--seeds", "0,1", "--quiet"],
+        ["train", *data, "--out", str(out / "ssl"), "--regime", "ssl", "--max-epochs", "40",
+         "--seeds", "0", "--quiet"],
+        ["train", *data, "--out", str(out / "inc"), "--regime", "incremental", "--seeds", "0",
+         "--quiet"],
+        ["eval", "--checkpoint", str(out / "sup" / "seed_1" / "model.ckpt"), *data],
+        ["sweep", *data, "--out", str(out / "sweep"), "--knob", "state-size", "--values", "4,8",
+         "--seeds", "0", "--max-epochs", "5", "--quiet"],
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", required=True, type=Path, help="empty or absent directory")
+    out = parser.parse_args(argv).out
+    if out.exists() and any(out.iterdir()):
+        print(f"error: {out} is not empty", file=sys.stderr)
+        return cli.EXIT_USAGE
+    out.mkdir(parents=True, exist_ok=True)
+    synthetic.write_csv(synthetic.logistic_table(1000, 6, 6, seed=0), out / "c7.csv")
+    (out / "c7.schema").write_text("label_column = label\npositive_label = 1\n",
+                                   encoding="utf-8")
+
+    for args in protocol(out):
+        print("mambatab", " ".join(args), file=sys.stderr)
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            code = cli.main(args)
+        if args[0] == "eval":
+            (out / "eval.txt").write_text(captured.getvalue(), encoding="utf-8")
+        if code != cli.EXIT_OK:
+            print(f"error: {args[0]} exited {code}", file=sys.stderr)
+            return code
+
+    for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "timing.json"):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return cli.EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(main())
