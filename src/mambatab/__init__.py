@@ -13,8 +13,8 @@ from .model import (
     load_with_metadata, save, swap_head, transfer_weights,
 )
 from .ssm import (
-    MambaBlockParams, SsmParams, block_param_count, discretize,
-    generate_selective_coeffs, mamba_block_forward, selective_scan,
+    MambaBlockParams, block_param_count, discretize, generate_selective_coeffs,
+    mamba_block_forward, selective_scan,
 )
 from .tabular import (
     EncodedMatrix, FeatureSubsetPlan, Preprocessor, SchemaConfig, SchemaError,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckpointError", "EncodedMatrix", "EvalResult", "FeatureSubsetPlan",
     "MambaBlockParams", "MambaTabModel", "ModelConfig", "NumericsError",
-    "Preprocessor", "SchemaConfig", "SchemaError", "SsmParams", "Stage",
+    "Preprocessor", "SchemaConfig", "SchemaError", "Stage",
     "Table", "Tensor", "TrainConfig", "TrainReport", "UndefinedMetricError",
     "accuracy", "adam_step", "aggregate", "auroc", "bce_with_logits",
     "block_param_count", "cosine_lr", "count_parameters", "discretize",

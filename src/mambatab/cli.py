@@ -74,6 +74,8 @@ class RunSpec:
             raise UsageError("need at least one seed")
         if repeated := _repeats(self.seeds):
             raise UsageError(f"seeds repeat {repeated}; each seed needs its own run")
+        if negative := sorted(s for s in self.seeds if s < 0):
+            raise UsageError(f"seeds must be non-negative, got {negative}")
         # reject bad model and training fields before any output is written
         self.model_config(1)
         self.train_config(0)
@@ -416,7 +418,7 @@ def main(argv=None) -> int:
             values = _parse_ints(args.values, "--values")
             cmd_sweep(_build_spec(args), args.knob, values, quiet=args.quiet)
         return EXIT_OK
-    except (UsageError, SchemaError, model_mod.CheckpointError, FileNotFoundError, ValueError) as e:
+    except (ValueError, OSError) as e:   # UsageError, SchemaError, CheckpointError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericsError, ArithmeticError) as e:

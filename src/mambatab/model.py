@@ -23,6 +23,7 @@ from .tensor import Tensor, _sigmoid
 
 CHECKPOINT_MAGIC = b"MTCK"
 CHECKPOINT_VERSION = 1
+CHUNK_ROWS = 1024   # rows per forward pass when scoring or validating
 
 
 class CheckpointError(ValueError):
@@ -79,9 +80,7 @@ class MambaTabModel:
         rng = np.random.default_rng(rng)
         self.config = config
         d = config.embed_dim
-        bound = 1.0 / math.sqrt(config.n_features)
-        self.embed_w = Tensor(rng.uniform(-bound, bound, size=(config.n_features, d)),
-                              requires_grad=True)
+        self.embed_w = ssm.uniform_init(rng, config.n_features, (config.n_features, d))
         self.embed_b = Tensor(np.zeros(d), requires_grad=True)
         self.ln_gamma = Tensor(np.ones(d), requires_grad=True)
         self.ln_beta = Tensor(np.zeros(d), requires_grad=True)
@@ -127,28 +126,28 @@ class MambaTabModel:
         flat = T.reshape(h, (x.shape[0], self.config.embed_dim))
         return T.linear(flat, self.head_w, self.head_b)
 
-    def predict_logits(self, values: np.ndarray, batch_size: int = 1024) -> np.ndarray:
+    def predict_logits(self, values: np.ndarray) -> np.ndarray:
         """Classification logits [m] for [m, n_features] rows, chunked."""
         if self.config.head != "classification":
             raise ValueError("predictions require a classification head")
-        return np.concatenate([z[:, 0] for _, z in self.forward_chunks(values, batch_size)])
+        return np.concatenate([z[:, 0] for _, z in self.forward_chunks(values)])
 
-    def predict_proba(self, values: np.ndarray, batch_size: int = 1024) -> np.ndarray:
+    def predict_proba(self, values: np.ndarray) -> np.ndarray:
         """Classification probabilities [m] for [m, n_features] rows, chunked.
 
         Float64 rounds every probability above a logit of about 36.7 to
         exactly 1.0, so rank the logits when ties matter.
         """
-        return _sigmoid(self.predict_logits(values, batch_size))
+        return _sigmoid(self.predict_logits(values))
 
-    def forward_chunks(self, values: np.ndarray, batch_size: int = 1024):
-        """Yield (row slice, forward output array) over [m, n_features] rows, in order.
+    def forward_chunks(self, values: np.ndarray):
+        """Yield (row slice, forward output array) per ``CHUNK_ROWS`` rows, in order.
 
         Only the output array is kept, so each chunk's graph is freed
         before the next chunk's forward runs.
         """
-        for start in range(0, len(values), batch_size):
-            rows = slice(start, start + batch_size)
+        for start in range(0, len(values), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
             yield rows, self.forward(values[rows]).data
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -166,11 +165,8 @@ class MambaTabModel:
 
 
 def _init_head(config: ModelConfig, rng: np.random.Generator):
-    bound = 1.0 / math.sqrt(config.embed_dim)
-    w = Tensor(rng.uniform(-bound, bound, size=(config.embed_dim, config.head_out)),
-               requires_grad=True)
-    b = Tensor(np.zeros(config.head_out), requires_grad=True)
-    return w, b
+    w = ssm.uniform_init(rng, config.embed_dim, (config.embed_dim, config.head_out))
+    return w, Tensor(np.zeros(config.head_out), requires_grad=True)
 
 
 def count_parameters(model: MambaTabModel) -> int:

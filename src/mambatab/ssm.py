@@ -46,8 +46,8 @@ def discretize(a, b, delta):
 
 
 @dataclass
-class SsmParams:
-    """State-space parameters for one block's inner width.
+class MambaBlockParams:
+    """All eleven learnable tensors of one block, in checkpoint order.
 
     ``a_log`` stores log(-A) for the diagonal state matrix, so
     A = -exp(a_log) is strictly negative and the recurrence is stable.
@@ -56,80 +56,65 @@ class SsmParams:
     precursor back to one step size per channel.
     """
 
-    a_log: Tensor        # [D_inner, N]
-    d_skip: Tensor       # [D_inner]
-    x_proj_w: Tensor     # [D_inner, dt_rank + 2N], no bias
-    dt_proj_w: Tensor    # [dt_rank, D_inner]
-    dt_proj_b: Tensor    # [D_inner]
-
-    def named_parameters(self):
-        return [
-            ("a_log", self.a_log),
-            ("d_skip", self.d_skip),
-            ("x_proj.w", self.x_proj_w),
-            ("dt_proj.w", self.dt_proj_w),
-            ("dt_proj.b", self.dt_proj_b),
-        ]
-
-
-@dataclass
-class MambaBlockParams:
     in_proj_w: Tensor    # [D, 2*E*D]
     in_proj_b: Tensor    # [2*E*D]
     conv_kernel: Tensor  # [E*D, d_conv]
     conv_bias: Tensor    # [E*D]
-    ssm: SsmParams
+    a_log: Tensor        # [E*D, N]
+    d_skip: Tensor       # [E*D]
+    x_proj_w: Tensor     # [E*D, dt_rank + 2N], no bias
+    dt_proj_w: Tensor    # [dt_rank, E*D]
+    dt_proj_b: Tensor    # [E*D]
     out_proj_w: Tensor   # [E*D, D]
     out_proj_b: Tensor   # [D]
 
-    @property
-    def d_inner(self) -> int:
-        return self.conv_kernel.shape[0]
-
     def named_parameters(self):
-        params = [
+        """(checkpoint name, tensor) pairs in field order; SSM tensors keep an ``ssm.`` prefix."""
+        return [
             ("in_proj.w", self.in_proj_w),
             ("in_proj.b", self.in_proj_b),
             ("conv.kernel", self.conv_kernel),
             ("conv.bias", self.conv_bias),
+            ("ssm.a_log", self.a_log),
+            ("ssm.d_skip", self.d_skip),
+            ("ssm.x_proj.w", self.x_proj_w),
+            ("ssm.dt_proj.w", self.dt_proj_w),
+            ("ssm.dt_proj.b", self.dt_proj_b),
+            ("out_proj.w", self.out_proj_w),
+            ("out_proj.b", self.out_proj_b),
         ]
-        params += [("ssm." + n, p) for n, p in self.ssm.named_parameters()]
-        params += [("out_proj.w", self.out_proj_w), ("out_proj.b", self.out_proj_b)]
-        return params
 
 
-def _uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
+def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
+    """A weight drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)): every block,
+    embedding and head weight of the model starts this way."""
     bound = 1.0 / math.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
-def init_ssm_params(d_inner: int, state_size: int, dt_rank: int,
-                    rng: np.random.Generator) -> SsmParams:
-    # A[d, n] = -(n+1): distinct stable decay rates per state coordinate.
-    a = np.tile(np.arange(1, state_size + 1, dtype=np.float64), (d_inner, 1))
-    # Step sizes start in [1e-3, 1e-1]: softplus(dt_proj_b) == dt exactly
-    # because the bias is the softplus inverse of the sampled dt.
-    dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=d_inner))
-    dt_bias = dt + np.log(-np.expm1(-dt))
-    return SsmParams(
-        a_log=Tensor(np.log(a), requires_grad=True),
-        d_skip=Tensor(np.ones(d_inner), requires_grad=True),
-        x_proj_w=_uniform(rng, d_inner, (d_inner, dt_rank + 2 * state_size)),
-        dt_proj_w=_uniform(rng, dt_rank, (dt_rank, d_inner)),
-        dt_proj_b=Tensor(dt_bias, requires_grad=True),
-    )
 
 
 def init_mamba_block(embed_dim: int, expand: int, state_size: int, d_conv: int,
                      rng: np.random.Generator) -> MambaBlockParams:
     d_inner = expand * embed_dim
+    dt_rank = dt_rank_for(embed_dim)
+    # Draw order, as in every saved model: in_proj, conv, dt, x_proj, dt_proj, out_proj.
+    in_proj_w = uniform_init(rng, embed_dim, (embed_dim, 2 * d_inner))
+    conv_kernel = uniform_init(rng, d_conv, (d_inner, d_conv))
+    # Step sizes start in [1e-3, 1e-1]: softplus(dt_proj_b) == dt exactly
+    # because the bias is the softplus inverse of the sampled dt.
+    dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=d_inner))
+    # A[d, n] = -(n+1): distinct stable decay rates per state coordinate.
+    a = np.tile(np.arange(1, state_size + 1, dtype=np.float64), (d_inner, 1))
     return MambaBlockParams(
-        in_proj_w=_uniform(rng, embed_dim, (embed_dim, 2 * d_inner)),
+        in_proj_w=in_proj_w,
         in_proj_b=Tensor(np.zeros(2 * d_inner), requires_grad=True),
-        conv_kernel=_uniform(rng, d_conv, (d_inner, d_conv)),
+        conv_kernel=conv_kernel,
         conv_bias=Tensor(np.zeros(d_inner), requires_grad=True),
-        ssm=init_ssm_params(d_inner, state_size, dt_rank_for(embed_dim), rng),
-        out_proj_w=_uniform(rng, d_inner, (d_inner, embed_dim)),
+        a_log=Tensor(np.log(a), requires_grad=True),
+        d_skip=Tensor(np.ones(d_inner), requires_grad=True),
+        x_proj_w=uniform_init(rng, d_inner, (d_inner, dt_rank + 2 * state_size)),
+        dt_proj_w=uniform_init(rng, dt_rank, (dt_rank, d_inner)),
+        dt_proj_b=Tensor(dt + np.log(-np.expm1(-dt)), requires_grad=True),
+        out_proj_w=uniform_init(rng, d_inner, (d_inner, embed_dim)),
         out_proj_b=Tensor(np.zeros(embed_dim), requires_grad=True),
     )
 
@@ -149,7 +134,7 @@ def block_param_count(embed_dim: int, expand: int, state_size: int,
     )
 
 
-def generate_selective_coeffs(params: SsmParams, conv_out: Tensor):
+def generate_selective_coeffs(params: MambaBlockParams, conv_out: Tensor):
     """Per-token scan coefficients from the conv branch output.
 
     Returns (delta, B_t, C_t): delta [B, L, D_inner] strictly positive via
@@ -209,13 +194,13 @@ def selective_scan(u: Tensor, delta: Tensor, b_t: Tensor, c_t: Tensor,
 
 def mamba_block_forward(params: MambaBlockParams, u: Tensor) -> Tensor:
     """Full gated block: shape-preserving [B, L, D] -> [B, L, D]."""
-    d_inner = params.d_inner
+    d_inner = params.conv_bias.shape[0]
     xz = T.linear(u, params.in_proj_w, params.in_proj_b)
     x = xz[..., :d_inner]
     z = xz[..., d_inner:]
     x = T.silu(T.causal_conv1d(x, params.conv_kernel, params.conv_bias))
-    delta, b_t, c_t = generate_selective_coeffs(params.ssm, x)
-    a = -T.texp(params.ssm.a_log)
-    y = selective_scan(x, delta, b_t, c_t, a, params.ssm.d_skip)
+    delta, b_t, c_t = generate_selective_coeffs(params, x)
+    a = -T.texp(params.a_log)
+    y = selective_scan(x, delta, b_t, c_t, a, params.d_skip)
     y = y * T.silu(z)
     return T.linear(y, params.out_proj_w, params.out_proj_b)

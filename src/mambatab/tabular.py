@@ -12,6 +12,7 @@ column keeps such text as an ordinary category.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -54,16 +55,26 @@ class SchemaConfig:
 def read_kv_file(path) -> dict[str, str]:
     """Parse a plain ``key = value`` text file; '#' starts a comment line."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    for lineno, raw in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
     return values
+
+
+def _read_text(path) -> str:
+    """A UTF-8 file's text without a BOM; other bytes are a SchemaError naming the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise SchemaError(f"{path}:{line}: byte {e.start} is not UTF-8 ({e.reason})") from None
 
 
 @dataclass
@@ -137,46 +148,51 @@ def load_csv(path, schema: SchemaConfig) -> Table:
     Cells equal to '' or '?' are missing. Label cells equal to the
     schema's positive value map to 1, everything else to 0. A UTF-8 byte
     order mark is skipped. A repeated header name, a ``kind.*`` key
-    naming no feature column and labels of only one class are errors.
+    naming no feature column, one-class labels and non-UTF-8 bytes are errors.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        repeated = sorted(name for name, n in Counter(header).items() if n > 1)
-        if repeated:
-            raise SchemaError(f"{path}: header repeats the column names {repeated}")
-        if schema.label_column:
-            if schema.label_column not in header:
-                raise SchemaError(
-                    f"{path}: label column '{schema.label_column}' not in header {header}")
-            label_idx = header.index(schema.label_column)
-        else:
-            label_idx = len(header) - 1
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        unknown = sorted(set(schema.kinds) - set(feature_names))
-        if unknown:
-            raise SchemaError(f"{path}: schema keys {['kind.' + k for k in unknown]} "
-                              f"name no feature column of {feature_names}")
-        columns: list[list] = [[] for _ in feature_names]
-        labels: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{reader.line_num}: row with {len(row)} cells, "
-                                  f"expected {len(header)}")
-            cells = [c.strip() for c in row]
-            labels.append(1 if cells[label_idx] == schema.positive_label else 0)
-            j = 0
-            for i, cell in enumerate(cells):
-                if i == label_idx:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next((row for row in reader if row), None)   # blank lines are skipped
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            repeated = sorted(name for name, n in Counter(header).items() if n > 1)
+            if repeated:
+                raise SchemaError(f"{path}: header repeats the column names {repeated}")
+            if schema.label_column:
+                if schema.label_column not in header:
+                    raise SchemaError(
+                        f"{path}: label column '{schema.label_column}' not in header {header}")
+                label_idx = header.index(schema.label_column)
+            else:
+                label_idx = len(header) - 1
+            feature_names = [h for i, h in enumerate(header) if i != label_idx]
+            unknown = sorted(set(schema.kinds) - set(feature_names))
+            if unknown:
+                raise SchemaError(f"{path}: schema keys {['kind.' + k for k in unknown]} "
+                                  f"name no feature column of {feature_names}")
+            columns: list[list] = [[] for _ in feature_names]
+            labels: list[int] = []
+            for row in reader:
+                if not row:
                     continue
-                columns[j].append(None if cell in MISSING_TOKENS else cell)
-                j += 1
+                if len(row) != len(header):
+                    raise SchemaError(f"{path}:{reader.line_num}: row with {len(row)} cells, "
+                                      f"expected {len(header)}")
+                cells = [c.strip() for c in row]
+                labels.append(1 if cells[label_idx] == schema.positive_label else 0)
+                j = 0
+                for i, cell in enumerate(cells):
+                    if i == label_idx:
+                        continue
+                    columns[j].append(None if cell in MISSING_TOKENS else cell)
+                    j += 1
+    except UnicodeDecodeError:
+        _read_text(path)   # raises the SchemaError that names the line
+        raise
+    except csv.Error as e:   # such as a cell longer than csv.field_size_limit()
+        raise SchemaError(f"{path}:{reader.line_num}: {e}") from None
     n_pos = sum(labels)
     if n_pos in (0, len(labels)):
         raise SchemaError(

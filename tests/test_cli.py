@@ -1,13 +1,17 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mambatab import cli, metrics, model as model_mod, synthetic, tabular
 from mambatab.cli import EXIT_OK, EXIT_USAGE, RunSpec, cmd_eval, cmd_sweep, cmd_train, main
@@ -388,6 +392,75 @@ class TestCheckpointFuzz:
         assert resaved.read_bytes() == first
 
 
+@st.composite
+def _fuzzed_csv(draw) -> tuple[bytes, str]:
+    """CSV bytes and schema text with the defects loaders meet in the wild.
+
+    Harmless quirks (quoted commas, blank lines, CRLF, a BOM) come often and
+    each breaking defect one time in five, so about one case in five trains.
+    """
+    rare = st.integers(0, 4).map(lambda k: k == 0)
+    header = ["x", "color", "label"]
+    if draw(rare):
+        header[draw(st.integers(0, 1))] = draw(st.sampled_from(header))   # repeated name
+    n_rows = draw(st.integers(0, 9) if draw(rare) else st.integers(10, 60))
+    one_class = draw(rare)
+    rows = [[str(draw(st.integers(-9, 9))),
+             draw(st.sampled_from(["red", "blue", "a,b", 'say "hi"', "", "?", " x "])),
+             "1" if one_class else draw(st.sampled_from(["0", "1", "yes"]))]
+            for _ in range(n_rows)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header] + rows)   # quotes the commas
+    lines = buf.getvalue().split("\n")[:-1]
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, "")
+    if draw(rare):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = draw(st.sampled_from([lines[at] + ",extra", lines[at].rpartition(",")[0]]))
+    data = (draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n").encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(rare):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    label_column = "nope" if draw(rare) else draw(st.sampled_from(["label", ""]))
+    schema = [f"label_column = {label_column}", "positive_label = 1"]
+    if draw(rare):
+        schema.append(draw(st.sampled_from(["kind.x = categorical", "kind.color = numerical",
+                                            "kind.ghost = numerical"])))
+    return data, "\n".join(schema) + "\n"
+
+
+class TestCsvFuzz:
+    """Malformed CSVs and schemas load, or end in SchemaError and exit 1; never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_fuzzed_csv())
+    @example(case=(b"\n", "label_column = \npositive_label = 1\n"))   # blank header line
+    def test_load_and_train_exit_zero_or_one(self, tmp_path_factory, case):
+        data, schema_text = case
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+            csv_path, schema_path = Path(work, "d.csv"), Path(work, "d.schema")
+            csv_path.write_bytes(data)
+            schema_path.write_text(schema_text)
+            try:
+                tabular.load_csv(csv_path, SchemaConfig.from_file(schema_path))
+                load_error = None
+            except tabular.SchemaError as e:
+                load_error = str(e)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["train", "--dataset", str(csv_path), "--schema", str(schema_path),
+                             "--out", str(Path(work, "run")), "--max-epochs", "0",
+                             "--seeds", "0", "--embed-dim", "4", "--state-size", "2",
+                             "--quiet"])
+        assert code in (EXIT_OK, EXIT_USAGE)
+        if load_error is not None:
+            assert code == EXIT_USAGE and f"error: {load_error}" in err.getvalue()
+        elif code == EXIT_USAGE:
+            assert err.getvalue().startswith("error:")
+
+
 class TestDataErrors:
     def test_non_finite_numeric_cell_exits_one(self, tmp_path, capsys):
         table = synthetic.logistic_table(200, 4, 2, seed=0)
@@ -455,6 +528,51 @@ class TestDataErrors:
         assert code == EXIT_USAGE
         assert "repeats the column names ['f0']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["dataset_dir", "schema_dir", "checkpoint_dir",
+                                      "out_is_file", "out_under_file"])
+    def test_os_error_exits_one(self, dataset, trained_ckpt, tmp_path, capsys, case):
+        csv_path, schema_path = dataset
+        folder, blocker = tmp_path / "folder", tmp_path / "file"
+        folder.mkdir()
+        blocker.write_text("")
+        train = ["train", "--seeds", "0", "--max-epochs", "0", "--embed-dim", "4",
+                 "--state-size", "2", "--quiet"]
+        argv, named = {
+            "dataset_dir": (train + ["--dataset", str(folder), "--schema", schema_path,
+                                     "--out", str(tmp_path / "run")], folder),
+            "schema_dir": (train + ["--dataset", csv_path, "--schema", str(folder),
+                                    "--out", str(tmp_path / "run")], folder),
+            "checkpoint_dir": (["eval", "--checkpoint", str(folder), "--dataset", csv_path,
+                                "--quiet"], folder),
+            "out_is_file": (train + ["--dataset", csv_path, "--schema", schema_path,
+                                     "--out", str(blocker)], blocker),
+            "out_under_file": (train + ["--dataset", csv_path, "--schema", schema_path,
+                                        "--out", str(blocker / "run")], blocker / "run"),
+        }[case]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(named) in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("target", ["csv", "schema", "config"])
+    def test_non_utf8_file_named_with_line(self, tmp_path, capsys, target):
+        csv_path, schema_path, cfg = tmp_path / "d.csv", tmp_path / "d.schema", tmp_path / "r.cfg"
+        synthetic.write_csv(synthetic.logistic_table(600, 4, 2, seed=0), csv_path)
+        schema_path.write_text("label_column = label\npositive_label = 1\n")
+        cfg.write_text("seeds = 0\nmax_epochs = 0\nembed_dim = 4\nstate_size = 2\n")
+        path = {"csv": csv_path, "schema": schema_path, "config": cfg}[target]
+        data = bytearray(path.read_bytes())
+        # Past the first 8 KiB: a chunked decoder would count from the chunk start.
+        offset = 20_000 if target == "csv" else len(data) - 3
+        data[offset] = 0xFF
+        path.write_bytes(bytes(data))
+        code = main(["train", "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--config", str(cfg), "--out", str(tmp_path / "run"), "--quiet"])
+        assert code == EXIT_USAGE
+        line = data.count(b"\n", 0, offset) + 1
+        assert f"error: {path}:{line}: byte {offset} is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("flag,value,field", [
         ("--batch-size", "0", "batch_size"),
         ("--batch-size", "-5", "batch_size"),
@@ -500,6 +618,19 @@ class TestRunSpecChecks:
         code = self.run(dataset, tmp_path / "run", "train", "--config", str(cfg), *seed_args)
         assert code == EXIT_USAGE
         assert f"seeds repeat {repeated}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("seed_args,config,negative", [
+        (["--seeds=-1"], "", "[-1]"),
+        ([], "seeds = -2\n", "[-2]"),
+    ])
+    def test_negative_seed_exits_one(self, dataset, tmp_path, capsys, seed_args, config,
+                                     negative):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{config}embed_dim = 8\nstate_size = 4\nmax_epochs = 1\n")
+        code = self.run(dataset, tmp_path / "run", "train", "--config", str(cfg), *seed_args)
+        assert code == EXIT_USAGE
+        assert f"seeds must be non-negative, got {negative}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_repeated_sweep_values_exit_one(self, dataset, tmp_path, capsys):

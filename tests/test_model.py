@@ -77,10 +77,14 @@ class TestForward:
         out = m.forward(np.zeros((3, 5)))
         assert out.shape == (3, 5)
 
-    def test_predict_proba_chunking_consistent(self):
+    def test_predict_proba_chunking_consistent(self, monkeypatch):
         m = small_model()
         x = np.random.default_rng(4).uniform(0, 1, size=(37, 5))
-        assert np.allclose(m.predict_proba(x, batch_size=8), m.predict_proba(x, batch_size=64))
+        monkeypatch.setattr(M, "CHUNK_ROWS", 8)
+        assert len(list(m.forward_chunks(x))) == 5
+        chunked = m.predict_proba(x)
+        monkeypatch.setattr(M, "CHUNK_ROWS", 64)
+        assert np.allclose(chunked, m.predict_proba(x))
 
 
 class TestParameterCount:

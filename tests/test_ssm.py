@@ -142,7 +142,7 @@ class TestSelectiveScan:
 class TestSelectiveCoeffs:
     def test_zero_input_collapses_scan_to_skip(self):
         rng = np.random.default_rng(12)
-        p = ssm.init_ssm_params(4, 3, 2, rng)
+        p = ssm.init_mamba_block(2, 2, 3, 4, rng)
         conv_out = T.zeros((2, 1, 4))
         delta, b_t, c_t = ssm.generate_selective_coeffs(p, conv_out)
         assert np.allclose(delta.data, np.logaddexp(0.0, p.dt_proj_b.data))
@@ -154,26 +154,26 @@ class TestSelectiveCoeffs:
 
     def test_delta_strictly_positive(self):
         rng = np.random.default_rng(13)
-        p = ssm.init_ssm_params(4, 3, 2, rng)
+        p = ssm.init_mamba_block(2, 2, 3, 4, rng)
         conv_out = Tensor(rng.uniform(-50, 50, size=(3, 2, 4)))
         delta, _, _ = ssm.generate_selective_coeffs(p, conv_out)
         assert np.all(delta.data > 0.0)
 
     def test_initial_step_sizes_in_range(self):
         rng = np.random.default_rng(14)
-        p = ssm.init_ssm_params(64, 32, 2, rng)
+        p = ssm.init_mamba_block(32, 2, 32, 4, rng)
         dt0 = np.logaddexp(0.0, p.dt_proj_b.data)
         assert np.all(dt0 >= 0.001 - 1e-12) and np.all(dt0 <= 0.1 + 1e-12)
 
     def test_split_layout(self):
         rng = np.random.default_rng(15)
-        p = ssm.init_ssm_params(4, 3, 2, rng)
+        p = ssm.init_mamba_block(2, 2, 3, 4, rng)
         conv_out = Tensor(rng.normal(size=(1, 2, 4)))
         _, b_t, c_t = ssm.generate_selective_coeffs(p, conv_out)
         dbc = conv_out.data.reshape(-1, 4) @ p.x_proj_w.data
         dbc = dbc.reshape(1, 2, -1)
-        assert np.allclose(b_t.data, dbc[..., 2:5])
-        assert np.allclose(c_t.data, dbc[..., 5:])
+        assert np.allclose(b_t.data, dbc[..., 1:4])   # dt_rank 1, state size 3
+        assert np.allclose(c_t.data, dbc[..., 4:])
 
 
 class TestMambaBlock:
@@ -203,9 +203,9 @@ class TestMambaBlock:
         x, z = xz[..., :8], xz[..., 8:]
         x = T.causal_conv1d(Tensor(x), p.conv_kernel, p.conv_bias).data
         x = x * (1.0 / (1.0 + np.exp(-x)))
-        delta, b_t, c_t = ssm.generate_selective_coeffs(p.ssm, Tensor(x))
+        delta, b_t, c_t = ssm.generate_selective_coeffs(p, Tensor(x))
         y = naive_selective_scan(x, delta.data, b_t.data, c_t.data,
-                                 -np.exp(p.ssm.a_log.data), p.ssm.d_skip.data)
+                                 -np.exp(p.a_log.data), p.d_skip.data)
         y = y * (z * (1.0 / (1.0 + np.exp(-z))))
         expected = y.reshape(-1, 8) @ p.out_proj_w.data + p.out_proj_b.data
         assert np.allclose(out.data, expected.reshape(2, 3, 4), atol=1e-12)
@@ -233,6 +233,6 @@ class TestMambaBlock:
     def test_stable_dynamics_at_init(self):
         rng = np.random.default_rng(22)
         p = ssm.init_mamba_block(4, 2, 4, 4, rng)
-        a = -np.exp(p.ssm.a_log.data)
+        a = -np.exp(p.a_log.data)
         assert np.all(a < 0.0)
         assert np.allclose(a, -np.tile(np.arange(1.0, 5.0), (8, 1)))

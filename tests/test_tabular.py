@@ -411,14 +411,16 @@ class TestCsvAndSchema:
 
     def test_blank_lines_skipped(self, tmp_path):
         csv_path = tmp_path / "d.csv"
-        csv_path.write_text("a,verdict\n\n1,yes\n\n2,no\n\n")
+        csv_path.write_text("\n\na,verdict\n\n1,yes\n\n2,no\n\n")
         t = load_csv(csv_path, SchemaConfig("verdict", "yes"))
         assert t.columns == [["1", "2"]] and list(t.labels) == [1, 0]
 
     @pytest.mark.parametrize("text,match", [
         ("", "empty file"),
+        ("\n\r\n\n", "empty file"),
         ("a,b,verdict\n1,2,yes\n3,no\n", r"d\.csv:3: row with 2 cells, expected 3"),
-    ], ids=["empty", "ragged_row"])
+        ("a,verdict\n1,yes\n" + "x" * 200_000 + ",no\n", r"d\.csv:3: field larger than"),
+    ], ids=["empty", "blank_lines_only", "ragged_row", "huge_cell"])
     def test_malformed_csv_rejected(self, tmp_path, text, match):
         csv_path = tmp_path / "d.csv"
         csv_path.write_text(text)

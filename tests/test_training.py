@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from mambatab import metrics, synthetic, tabular, training
+from mambatab import metrics, synthetic, tabular, tensor as T, training
 from mambatab.model import MambaTabModel, ModelConfig, swap_head
 from mambatab.tensor import Tensor
 from mambatab.training import (
@@ -231,6 +231,24 @@ class TestTrainSupervised:
         adam_step(params, state, lr=1e-3)
         loss1 = bce_with_logits(model.forward(x), y)
         assert loss1.item() < loss0.item()
+
+    def test_default_step_builds_56_graph_nodes(self, monkeypatch):
+        # One default step (B=128, n=12): forward, BCE and backward. The
+        # benchmark's tensor.nodes_per_step reports the same count on train_c7.
+        made, make = [], T._make
+
+        def counting_make(*args):
+            made.append(args[-1])   # the op name
+            return make(*args)
+
+        monkeypatch.setattr(T, "_make", counting_make)
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, 1, size=(TrainConfig.batch_size, 12))
+        model = MambaTabModel(ModelConfig(n_features=12), rng=0)
+        loss = bce_with_logits(model.forward(x), rng.integers(0, 2, size=len(x)))
+        model.zero_grad()
+        loss.backward()
+        assert len(made) == 56, made
 
 
 class TestSsl:
