@@ -187,6 +187,13 @@ def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
     """Run every seed, write per-seed artifacts and the aggregate summary."""
     schema = SchemaConfig.from_file(spec.schema)
     table = tabular.load_csv(spec.dataset, schema)
+    # split, ModelConfig and the incremental plan reject these too, but only
+    # after output exists, and without naming the file
+    min_features = 3 if spec.regime == "incremental" else 1
+    if table.n_rows < tabular.MIN_ROWS or table.n_features < min_features:
+        raise SchemaError(f"{spec.dataset}: {table.n_rows} data rows and {table.n_features} "
+                          f"feature columns; {spec.regime} training needs at least "
+                          f"{tabular.MIN_ROWS} and {min_features}")
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "runspec.json", asdict(spec))
@@ -295,7 +302,6 @@ def cmd_sweep(spec: RunSpec, knob: str, values: list[int], quiet: bool = False) 
     # every value's spec is checked before the first run writes anything
     subs = [replace(spec, out_dir=str(out / f"{attr}_{value}"), **{attr: value})
             for value in values]
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for value, sub in zip(values, subs):
         summary = cmd_train(sub, quiet=True)
@@ -355,10 +361,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 def _build_spec(args) -> RunSpec:
     file_values: dict[str, str] = {}
     if args.config:
-        file_values = tabular.read_kv_file(args.config)
-        unknown = set(file_values) - set(_SPEC_FIELDS) - {"seeds", "no_layer_norm"}
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        file_values = tabular.read_kv_file(
+            args.config, lambda key: key in _SPEC_FIELDS or key in ("seeds", "no_layer_norm"))
     kwargs = {"dataset": args.dataset, "schema": args.schema, "out_dir": args.out_dir}
     for name, typ in _SPEC_FIELDS.items():
         cli_val = getattr(args, name, None)

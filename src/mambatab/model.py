@@ -10,6 +10,7 @@ input feature.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -57,12 +58,18 @@ class ModelConfig:
 
     @property
     def param_count(self) -> int:
-        """Closed-form learnable-scalar count of the model this config builds."""
+        """Learnable-scalar count of the model this config builds."""
+        return sum(math.prod(shape) for _, shape in self.layout())
+
+    def layout(self):
+        """Yield (checkpoint name, shape) of every parameter, in checkpoint order."""
         d = self.embed_dim
-        block = ssm.block_param_count(d, self.expand, self.state_size, self.d_conv,
-                                      ssm.dt_rank_for(d))
-        # embed w + b, layer norm gamma + beta, blocks, head w + b
-        return self.n_features * d + 3 * d + self.n_blocks * block + (d + 1) * self.head_out
+        yield from [("embed.w", (self.n_features, d)), ("embed.b", (d,)),
+                    ("ln.gamma", (d,)), ("ln.beta", (d,))]
+        block = ssm.block_shapes(d, self.expand, self.state_size, self.d_conv, ssm.dt_rank_for(d))
+        for i in range(self.n_blocks):
+            yield from ((f"blocks.{i}.{n}", s) for n, s in zip(ssm.BLOCK_NAMES, block))
+        yield from [("head.w", (d, self.head_out)), ("head.b", (self.head_out,))]
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -91,16 +98,11 @@ class MambaTabModel:
         self.head_w, self.head_b = _init_head(config, rng)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        params = [
-            ("embed.w", self.embed_w),
-            ("embed.b", self.embed_b),
-            ("ln.gamma", self.ln_gamma),
-            ("ln.beta", self.ln_beta),
-        ]
-        for i, block in enumerate(self.blocks):
-            params += [(f"blocks.{i}.{n}", p) for n, p in block.named_parameters()]
-        params += [("head.w", self.head_w), ("head.b", self.head_b)]
-        return params
+        """(checkpoint name, tensor) pairs in ``config.layout()`` order."""
+        tensors = [self.embed_w, self.embed_b, self.ln_gamma, self.ln_beta,
+                   *(p for block in self.blocks for _, p in block.named_parameters()),
+                   self.head_w, self.head_b]
+        return [(name, p) for (name, _), p in zip(self.config.layout(), tensors, strict=True)]
 
     def zero_grad(self) -> None:
         for _, p in self.named_parameters():
@@ -215,17 +217,18 @@ def swap_head(model: MambaTabModel, head: str, rng: np.random.Generator | int) -
 
 # -- checkpoint container -----------------------------------------------------
 #
-# Layout: magic, u32 version, u64-length JSON header (config, metadata,
-# tensor names/shapes in order), then raw little-endian float64 tensor
-# payloads back to back. Everything is a pure function of the content,
-# so identical models produce identical bytes.
+# Layout: magic, u32 version, u64-length JSON header (config, metadata, and
+# "tensors": the config's layout() as {"name", "shape"} objects), then raw
+# little-endian float64 tensor payloads back to back in that order. A loader
+# checks that the "tensors" list equals its config's layout (names, shapes,
+# order) before it reads any payload or allocates any weight. Everything is
+# a pure function of the content, so identical models produce identical bytes.
 
 def save(model: MambaTabModel, path, metadata: dict | None = None) -> None:
-    state = model.state_dict()
     header = {
         "config": asdict(model.config),
         "metadata": metadata or {},
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in state.items()],
+        "tensors": [{"name": n, "shape": list(s)} for n, s in model.config.layout()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -233,8 +236,8 @@ def save(model: MambaTabModel, path, metadata: dict | None = None) -> None:
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for name, arr in state.items():
-            fh.write(arr.astype("<f8").tobytes())
+        for _, p in model.named_parameters():
+            fh.write(p.data.astype("<f8").tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -276,31 +279,26 @@ def load_with_metadata(path) -> tuple[MambaTabModel, dict]:
         if not isinstance(header["metadata"], dict) or not isinstance(header["tensors"], list):
             raise CheckpointError("checkpoint header needs an object 'metadata' and a list 'tensors'")
         entries = header["tensors"]
-        for index, entry in enumerate(entries):
-            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                    and isinstance(entry.get("shape"), list)
-                    and all(type(d) is int and d >= 0 for d in entry["shape"])):
-                raise CheckpointError(f"tensors entry {index} needs a string 'name' "
-                                      f"and a 'shape' list of non-negative ints")
-        # The payload reads below are bounded by the file size; matching the
-        # config's count to them first bounds what building the model allocates.
-        listed = sum(math.prod(entry["shape"]) for entry in entries)
-        if listed != config.param_count:
-            sizes = ", ".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config))
-            raise CheckpointError(f"checkpoint config ({sizes}) implies {config.param_count} "
-                                  f"parameters, its 'tensors' list {listed}")
-        state = {}
-        for entry in entries:
-            name, shape = entry["name"], tuple(entry["shape"])
-            raw = _read_exact(fh, 8 * math.prod(shape), f"tensor '{name}'")
-            state[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            if not np.all(np.isfinite(state[name])):
-                raise CheckpointError(f"tensor '{name}' holds non-finite values")
+        # The list must equal the config's layout, made only as far as the list
+        # reaches plus one entry. A dimension must be a JSON int: 32.0 or true fail.
+        sizes = ", ".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config))
+        layout = itertools.islice(config.layout(), len(entries) + 1)
+        for index, (entry, want) in enumerate(itertools.zip_longest(entries, layout)):
+            want = want and {"name": want[0], "shape": list(want[1])}
+            if want is None or entry != want or any(type(d) is not int for d in entry["shape"]):
+                raise CheckpointError(
+                    f"tensors entry {index} should be {json.dumps(want) if want else 'absent'} "
+                    f"under checkpoint config ({sizes})")
+        ends = np.cumsum([math.prod(entry["shape"]) for entry in entries])
+        raw = _read_exact(fh, 8 * int(ends[-1]), "tensor payload")
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        name = entries[np.searchsorted(ends, np.argmin(finite), side="right")]["name"]
+        raise CheckpointError(f"tensor '{name}' holds non-finite values")
     model = MambaTabModel(config, rng=0)
-    try:
-        model.load_state_dict(state)
-    except ValueError as e:
-        raise CheckpointError(str(e)) from None
+    for (_, p), values in zip(model.named_parameters(), np.split(flat, ends[:-1])):
+        p.data = values.reshape(p.shape)
     return model, header["metadata"]

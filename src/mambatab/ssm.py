@@ -11,7 +11,7 @@ is what lets the recurrence propagate or forget content-dependently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,20 @@ def discretize(a, b, delta):
     return a_bar, b_bar
 
 
+# Checkpoint name of each block tensor, in MambaBlockParams field order;
+# SSM tensors keep an ``ssm.`` prefix.
+BLOCK_NAMES = ("in_proj.w", "in_proj.b", "conv.kernel", "conv.bias", "ssm.a_log", "ssm.d_skip",
+               "ssm.x_proj.w", "ssm.dt_proj.w", "ssm.dt_proj.b", "out_proj.w", "out_proj.b")
+
+
+def block_shapes(embed_dim: int, expand: int, state_size: int, d_conv: int,
+                 dt_rank: int) -> list[tuple[int, ...]]:
+    """Shape of each block tensor, in ``BLOCK_NAMES`` order."""
+    e = expand * embed_dim
+    return [(embed_dim, 2 * e), (2 * e,), (e, d_conv), (e,), (e, state_size), (e,),
+            (e, dt_rank + 2 * state_size), (dt_rank, e), (e,), (e, embed_dim), (embed_dim,)]
+
+
 @dataclass
 class MambaBlockParams:
     """All eleven learnable tensors of one block, in checkpoint order.
@@ -53,36 +67,25 @@ class MambaBlockParams:
     A = -exp(a_log) is strictly negative and the recurrence is stable.
     ``x_proj`` maps each token to its step-size precursor and the
     per-token input/output mixing vectors; ``dt_proj`` expands the
-    precursor back to one step size per channel.
+    precursor back to one step size per channel. Shapes are those of
+    ``block_shapes``.
     """
 
-    in_proj_w: Tensor    # [D, 2*E*D]
-    in_proj_b: Tensor    # [2*E*D]
-    conv_kernel: Tensor  # [E*D, d_conv]
-    conv_bias: Tensor    # [E*D]
-    a_log: Tensor        # [E*D, N]
-    d_skip: Tensor       # [E*D]
-    x_proj_w: Tensor     # [E*D, dt_rank + 2N], no bias
-    dt_proj_w: Tensor    # [dt_rank, E*D]
-    dt_proj_b: Tensor    # [E*D]
-    out_proj_w: Tensor   # [E*D, D]
-    out_proj_b: Tensor   # [D]
+    in_proj_w: Tensor
+    in_proj_b: Tensor
+    conv_kernel: Tensor
+    conv_bias: Tensor
+    a_log: Tensor
+    d_skip: Tensor
+    x_proj_w: Tensor     # no bias
+    dt_proj_w: Tensor
+    dt_proj_b: Tensor
+    out_proj_w: Tensor
+    out_proj_b: Tensor
 
-    def named_parameters(self):
-        """(checkpoint name, tensor) pairs in field order; SSM tensors keep an ``ssm.`` prefix."""
-        return [
-            ("in_proj.w", self.in_proj_w),
-            ("in_proj.b", self.in_proj_b),
-            ("conv.kernel", self.conv_kernel),
-            ("conv.bias", self.conv_bias),
-            ("ssm.a_log", self.a_log),
-            ("ssm.d_skip", self.d_skip),
-            ("ssm.x_proj.w", self.x_proj_w),
-            ("ssm.dt_proj.w", self.dt_proj_w),
-            ("ssm.dt_proj.b", self.dt_proj_b),
-            ("out_proj.w", self.out_proj_w),
-            ("out_proj.b", self.out_proj_b),
-        ]
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        """(checkpoint name, tensor) pairs in field order."""
+        return [(name, getattr(self, f.name)) for name, f in zip(BLOCK_NAMES, fields(self))]
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
@@ -94,44 +97,36 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
 
 def init_mamba_block(embed_dim: int, expand: int, state_size: int, d_conv: int,
                      rng: np.random.Generator) -> MambaBlockParams:
-    d_inner = expand * embed_dim
-    dt_rank = dt_rank_for(embed_dim)
+    d_inner, dt_rank = expand * embed_dim, dt_rank_for(embed_dim)
+    shape = dict(zip((f.name for f in fields(MambaBlockParams)),
+                     block_shapes(embed_dim, expand, state_size, d_conv, dt_rank)))
     # Draw order, as in every saved model: in_proj, conv, dt, x_proj, dt_proj, out_proj.
-    in_proj_w = uniform_init(rng, embed_dim, (embed_dim, 2 * d_inner))
-    conv_kernel = uniform_init(rng, d_conv, (d_inner, d_conv))
+    in_proj_w = uniform_init(rng, embed_dim, shape["in_proj_w"])
+    conv_kernel = uniform_init(rng, d_conv, shape["conv_kernel"])
     # Step sizes start in [1e-3, 1e-1]: softplus(dt_proj_b) == dt exactly
     # because the bias is the softplus inverse of the sampled dt.
-    dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=d_inner))
+    dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=shape["dt_proj_b"]))
     # A[d, n] = -(n+1): distinct stable decay rates per state coordinate.
-    a = np.tile(np.arange(1, state_size + 1, dtype=np.float64), (d_inner, 1))
+    a = np.broadcast_to(np.arange(1, state_size + 1, dtype=np.float64), shape["a_log"])
     return MambaBlockParams(
         in_proj_w=in_proj_w,
-        in_proj_b=Tensor(np.zeros(2 * d_inner), requires_grad=True),
+        in_proj_b=Tensor(np.zeros(shape["in_proj_b"]), requires_grad=True),
         conv_kernel=conv_kernel,
-        conv_bias=Tensor(np.zeros(d_inner), requires_grad=True),
+        conv_bias=Tensor(np.zeros(shape["conv_bias"]), requires_grad=True),
         a_log=Tensor(np.log(a), requires_grad=True),
-        d_skip=Tensor(np.ones(d_inner), requires_grad=True),
-        x_proj_w=uniform_init(rng, d_inner, (d_inner, dt_rank + 2 * state_size)),
-        dt_proj_w=uniform_init(rng, dt_rank, (dt_rank, d_inner)),
+        d_skip=Tensor(np.ones(shape["d_skip"]), requires_grad=True),
+        x_proj_w=uniform_init(rng, d_inner, shape["x_proj_w"]),
+        dt_proj_w=uniform_init(rng, dt_rank, shape["dt_proj_w"]),
         dt_proj_b=Tensor(dt + np.log(-np.expm1(-dt)), requires_grad=True),
-        out_proj_w=uniform_init(rng, d_inner, (d_inner, embed_dim)),
-        out_proj_b=Tensor(np.zeros(embed_dim), requires_grad=True),
+        out_proj_w=uniform_init(rng, d_inner, shape["out_proj_w"]),
+        out_proj_b=Tensor(np.zeros(shape["out_proj_b"]), requires_grad=True),
     )
 
 
 def block_param_count(embed_dim: int, expand: int, state_size: int,
                       d_conv: int, dt_rank: int) -> int:
-    """Closed-form learnable-scalar count of one block."""
-    d_inner = expand * embed_dim
-    return (
-        embed_dim * 2 * d_inner + 2 * d_inner      # in_proj w + b
-        + d_inner * d_conv + d_inner               # conv kernel + bias
-        + d_inner * (dt_rank + 2 * state_size)     # x_proj (no bias)
-        + dt_rank * d_inner + d_inner              # dt_proj w + b
-        + d_inner * state_size                     # a_log
-        + d_inner                                  # d_skip
-        + d_inner * embed_dim + embed_dim          # out_proj w + b
-    )
+    """Learnable-scalar count of one block."""
+    return sum(math.prod(s) for s in block_shapes(embed_dim, expand, state_size, d_conv, dt_rank))
 
 
 def generate_selective_coeffs(params: MambaBlockParams, conv_out: Tensor):

@@ -21,6 +21,7 @@ import numpy as np
 
 MISSING_TOKENS = {"", "?"}
 KINDS = ("categorical", "numerical")
+MIN_ROWS = 10   # the fewest rows ``split`` accepts
 
 
 class SchemaError(ValueError):
@@ -40,7 +41,8 @@ class SchemaConfig:
 
     @classmethod
     def from_file(cls, path) -> "SchemaConfig":
-        values = read_kv_file(path)
+        values = read_kv_file(path, lambda key: key in ("label_column", "positive_label")
+                              or key.startswith("kind."))
         if "positive_label" not in values:
             raise SchemaError(f"schema file {path} missing 'positive_label'")
         kinds = {}
@@ -52,8 +54,12 @@ class SchemaConfig:
         return cls(values.get("label_column", ""), values["positive_label"], kinds)
 
 
-def read_kv_file(path) -> dict[str, str]:
-    """Parse a plain ``key = value`` text file; '#' starts a comment line."""
+def read_kv_file(path, known) -> dict[str, str]:
+    """Parse a plain ``key = value`` text file; '#' starts a comment line.
+
+    A key that ``known(key)`` rejects, or a key given twice, is a
+    SchemaError naming the key and its line.
+    """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
         line = raw.strip()
@@ -61,8 +67,12 @@ def read_kv_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
+        if not known(key):
+            raise SchemaError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise SchemaError(f"{path}:{lineno}: key {key!r} is given a second time")
+        values[key] = val
     return values
 
 
@@ -373,8 +383,8 @@ def split(table: Table, seed: int) -> tuple[Table, Table, Table]:
     remaining rows.
     """
     m = table.n_rows
-    if m < 10:
-        raise ValueError(f"need at least 10 rows to split, got {m}")
+    if m < MIN_ROWS:
+        raise ValueError(f"need at least {MIN_ROWS} rows to split, got {m}")
     perm = np.random.default_rng(seed).permutation(m)
     n_train = m * 7 // 10   # integer arithmetic: int(m * 0.7) misrounds e.g. m=690
     n_val = m // 10

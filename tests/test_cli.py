@@ -190,7 +190,8 @@ class TestEval:
         "tensor_without_name", "tensor_without_shape", "negative_dimension",
         "legacy_seq_len_2", "preprocessor_without_kinds", "schema_not_an_object",
         "split_seed_not_an_int", "null_mins", "unknown_kind", "float_embed_dim",
-        "string_use_layer_norm",
+        "string_use_layer_norm", "float_dimension", "bool_dimension", "reordered_tensors",
+        "extra_tensor", "huge_n_blocks",
     ])
     def test_malformed_checkpoint_exits_one(self, dataset, trained_ckpt, tmp_path, damage,
                                             capsys):
@@ -207,6 +208,11 @@ class TestEval:
             "float_embed_dim": "embed_dim",
             "string_use_layer_norm": "use_layer_norm",
             "no_training_metadata": "schema",
+            "float_dimension": "tensors entry 4",
+            "bool_dimension": "tensors entry 16",
+            "reordered_tensors": "tensors entry 0",
+            "extra_tensor": "tensors entry 17 should be absent",
+            "huge_n_blocks": "n_blocks=1099511627776",
         }.get(damage, "")
         if damage == "legacy_seq_len_2":
             header["config"]["seq_len"] = 2
@@ -242,6 +248,18 @@ class TestEval:
             del header["tensors"][0]["shape"]
         elif damage == "negative_dimension":
             header["tensors"][1]["shape"][0] = -header["tensors"][1]["shape"][0]
+        elif damage == "float_dimension":
+            assert header["tensors"][4] == {"name": "blocks.0.in_proj.w", "shape": [8, 32]}
+            header["tensors"][4]["shape"][1] = 32.0
+        elif damage == "bool_dimension":
+            assert header["tensors"][16] == {"name": "head.b", "shape": [1]}
+            header["tensors"][16]["shape"] = [True]
+        elif damage == "reordered_tensors":
+            header["tensors"].reverse()
+        elif damage == "extra_tensor":
+            header["tensors"].append({"name": "extra", "shape": [1]})
+        elif damage == "huge_n_blocks":
+            header["config"]["n_blocks"] = 2 ** 40
         bad = tmp_path / "bad.ckpt"
         rewrite_header(trained_ckpt, bad, header,
                        length=2 ** 40 if damage == "huge_header_len" else None)
@@ -589,6 +607,48 @@ class TestDataErrors:
         assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()    # rejected before any output
 
+    @pytest.mark.parametrize("command,header,n_rows,counts", [
+        (["train"], ["f0", "label"], 3, "3 data rows and 1 feature columns"),
+        (["sweep", "--knob", "state-size", "--values", "2,4"], ["f0", "label"], 3,
+         "3 data rows and 1 feature columns"),
+        (["train"], ["label"], 12, "12 data rows and 0 feature columns"),
+        (["train", "--regime", "incremental"], ["f0", "f1", "label"], 12,
+         "12 data rows and 2 feature columns; incremental training needs at least 10 and 3"),
+    ], ids=["few_rows", "few_rows_sweep", "label_only", "incremental_two_features"])
+    def test_untrainable_csv_exits_one_before_output(self, tmp_path, capsys, command, header,
+                                                      n_rows, counts):
+        csv_path, schema_path = tmp_path / "small.csv", tmp_path / "small.schema"
+        rows = [",".join([str(i % 2)] * len(header)) for i in range(n_rows)]
+        csv_path.write_text("\n".join([",".join(header)] + rows) + "\n")
+        schema_path.write_text("label_column = label\npositive_label = 1\n")
+        code = main([*command, "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--out", str(tmp_path / "run"), "--seeds", "0", "--max-epochs", "0",
+                     "--quiet"])
+        assert code == EXIT_USAGE
+        assert f"error: {csv_path}: {counts}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("target,text,line,problem", [
+        ("schema", "label_colum = label\npositive_label = 1\n", 1, "unknown key 'label_colum'"),
+        ("schema", "label_column = label\npositive_label = 1\npositive_label = 0\n", 3,
+         "key 'positive_label' is given a second time"),
+        ("config", "seeds = 0\nmax_epochs = 1\nseeds = 1\n", 3,
+         "key 'seeds' is given a second time"),
+    ], ids=["schema_typo", "schema_repeat", "config_repeat"])
+    def test_bad_key_file_exits_one(self, dataset, tmp_path, capsys, target, text, line,
+                                    problem):
+        csv_path, schema_path = dataset
+        path = tmp_path / f"run.{target}"
+        path.write_text(text)
+        args = ["--config", str(path)] if target == "config" else []
+        code = main(["train", "--dataset", csv_path,
+                     "--schema", str(path) if target == "schema" else schema_path,
+                     "--out", str(tmp_path / "run"), "--max-epochs", "1", "--seeds", "0",
+                     "--embed-dim", "4", "--state-size", "2", *args, "--quiet"])
+        assert code == EXIT_USAGE
+        assert f"error: {path}:{line}: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestRunSpecChecks:
     """A bad, repeated or missing spec value exits 1 before any output is written."""
@@ -655,7 +715,7 @@ class TestRunSpecChecks:
         cfg.write_text("embed_dims = 8\nseeds = 0\n")
         code = self.run(dataset, tmp_path / "run", "train", "--config", str(cfg))
         assert code == EXIT_USAGE
-        assert "unknown config keys: ['embed_dims']" in capsys.readouterr().err
+        assert f"{cfg}:1: unknown key 'embed_dims'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_unknown_sweep_knob_rejected(self, dataset, tmp_path):

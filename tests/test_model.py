@@ -120,6 +120,7 @@ class TestParameterCount:
     def test_config_closed_form_matches_built_model(self, overrides):
         m = small_model(**overrides)
         assert m.config.param_count == M.count_parameters(m)
+        assert list(m.config.layout()) == [(n, p.shape) for n, p in m.named_parameters()]
 
     def test_non_embedding_shapes_independent_of_features(self):
         a = small_model(n_features=5)
