@@ -189,7 +189,7 @@ def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
     table = tabular.load_csv(spec.dataset, schema)
     # split, ModelConfig and the incremental plan reject these too, but only
     # after output exists, and without naming the file
-    min_features = 3 if spec.regime == "incremental" else 1
+    min_features = tabular.MIN_INCREMENTAL_FEATURES if spec.regime == "incremental" else 1
     if table.n_rows < tabular.MIN_ROWS or table.n_features < min_features:
         raise SchemaError(f"{spec.dataset}: {table.n_rows} data rows and {table.n_features} "
                           f"feature columns; {spec.regime} training needs at least "

@@ -289,8 +289,9 @@ def load_with_metadata(path) -> tuple[MambaTabModel, dict]:
                 raise CheckpointError(
                     f"tensors entry {index} should be {json.dumps(want) if want else 'absent'} "
                     f"under checkpoint config ({sizes})")
-        ends = np.cumsum([math.prod(entry["shape"]) for entry in entries])
-        raw = _read_exact(fh, 8 * int(ends[-1]), "tensor payload")
+        # Python ints: an int64 sum of sizes could wrap past the length check.
+        ends = list(itertools.accumulate(math.prod(entry["shape"]) for entry in entries))
+        raw = _read_exact(fh, 8 * ends[-1], "tensor payload")
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)

@@ -22,6 +22,7 @@ import numpy as np
 MISSING_TOKENS = {"", "?"}
 KINDS = ("categorical", "numerical")
 MIN_ROWS = 10   # the fewest rows ``split`` accepts
+MIN_INCREMENTAL_FEATURES = 3   # one per group of ``make_incremental_plan``
 
 
 class SchemaError(ValueError):
@@ -427,8 +428,9 @@ def make_incremental_plan(n_features: int, seed: int) -> FeatureSubsetPlan:
 
     Remainder columns go to the earliest groups, e.g. 10 -> 4/3/3.
     """
-    if n_features < 3:
-        raise ValueError(f"need at least 3 features for an incremental plan, got {n_features}")
+    if n_features < MIN_INCREMENTAL_FEATURES:
+        raise ValueError(f"need at least {MIN_INCREMENTAL_FEATURES} features for an "
+                         f"incremental plan, got {n_features}")
     perm = list(np.random.default_rng(seed).permutation(n_features))
     base, rem = divmod(n_features, 3)
     sizes = [base + (1 if i < rem else 0) for i in range(3)]

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -191,10 +192,10 @@ class TestEval:
         "legacy_seq_len_2", "preprocessor_without_kinds", "schema_not_an_object",
         "split_seed_not_an_int", "null_mins", "unknown_kind", "float_embed_dim",
         "string_use_layer_norm", "float_dimension", "bool_dimension", "reordered_tensors",
-        "extra_tensor", "huge_n_blocks",
+        "extra_tensor", "huge_n_blocks", "payload_size_beyond_int64",
     ])
     def test_malformed_checkpoint_exits_one(self, dataset, trained_ckpt, tmp_path, damage,
-                                            capsys):
+                                            monkeypatch, capsys):
         csv_path, schema_path = dataset
         header = read_header(trained_ckpt)
         meta = header["metadata"]
@@ -213,6 +214,7 @@ class TestEval:
             "reordered_tensors": "tensors entry 0",
             "extra_tensor": "tensors entry 17 should be absent",
             "huge_n_blocks": "n_blocks=1099511627776",
+            "payload_size_beyond_int64": "tensor payload",
         }.get(damage, "")
         if damage == "legacy_seq_len_2":
             header["config"]["seq_len"] = 2
@@ -260,6 +262,17 @@ class TestEval:
             header["tensors"].append({"name": "extra", "shape": [1]})
         elif damage == "huge_n_blocks":
             header["config"]["n_blocks"] = 2 ** 40
+        elif damage == "payload_size_beyond_int64":
+            # Every tensor fits in an int64, but the payload's total does not.
+            header["config"].update(embed_dim=2 ** 30, expand=2, n_blocks=2)
+            layout = model_mod.ModelConfig.from_dict(header["config"]).layout()
+            header["tensors"] = [{"name": n, "shape": list(s)} for n, s in layout]
+            assert sum(math.prod(e["shape"]) for e in header["tensors"]) >= 2 ** 63
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a model was built from an unchecked layout")
+
+            monkeypatch.setattr(model_mod, "MambaTabModel", refuse)
         bad = tmp_path / "bad.ckpt"
         rewrite_header(trained_ckpt, bad, header,
                        length=2 ** 40 if damage == "huge_header_len" else None)
