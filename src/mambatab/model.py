@@ -96,6 +96,13 @@ class MambaTabModel:
             for _ in range(config.n_blocks)
         ]
         self.head_w, self.head_b = _init_head(config, rng)
+        # One float64 vector in layout order holds every weight; each
+        # parameter's data is a view into it, so writes go through either.
+        params = [p for _, p in self.named_parameters()]
+        self.flat = np.concatenate([p.data.ravel() for p in params])
+        ends = itertools.accumulate(p.size for p in params)
+        for p, end in zip(params, ends):
+            p.data = self.flat[end - p.size:end].reshape(p.shape)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """(checkpoint name, tensor) pairs in ``config.layout()`` order."""
@@ -155,16 +162,6 @@ class MambaTabModel:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        if set(own) != set(state):
-            raise ValueError(f"state dict keys mismatch: {sorted(set(own) ^ set(state))}")
-        for name, p in own.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for '{name}': {arr.shape} vs {p.data.shape}")
-            p.data = arr.copy()
-
 
 def _init_head(config: ModelConfig, rng: np.random.Generator):
     w = ssm.uniform_init(rng, config.embed_dim, (config.embed_dim, config.head_out))
@@ -172,7 +169,7 @@ def _init_head(config: ModelConfig, rng: np.random.Generator):
 
 
 def count_parameters(model: MambaTabModel) -> int:
-    return sum(p.size for _, p in model.named_parameters())
+    return model.flat.size
 
 
 def transfer_weights(old: MambaTabModel, new_config: ModelConfig,
@@ -195,11 +192,9 @@ def transfer_weights(old: MambaTabModel, new_config: ModelConfig,
     if new_config.head == "reconstruction":
         raise ValueError("transfer with a reconstruction head is not supported")
     new = MambaTabModel(new_config, rng=0)
-    state = old.state_dict()
-    embed_w = np.zeros((new_config.n_features, new_config.embed_dim))
-    embed_w[column_mapping, :] = state.pop("embed.w")
-    state["embed.w"] = embed_w
-    new.load_state_dict(state)
+    new.embed_w.data[:] = 0.0
+    new.embed_w.data[column_mapping, :] = old.embed_w.data
+    new.flat[new.embed_w.size:] = old.flat[old.embed_w.size:]   # embed.w leads the layout
     return new
 
 
@@ -207,22 +202,23 @@ def swap_head(model: MambaTabModel, head: str, rng: np.random.Generator | int) -
     """Same body, freshly initialized head of the requested kind."""
     config = replace(model.config, head=head)
     new = MambaTabModel(config, rng=0)
-    state = model.state_dict()
+    body = model.flat.size - model.head_w.size - model.head_b.size   # the head ends the layout
+    new.flat[:body] = model.flat[:body]
     new_w, new_b = _init_head(config, np.random.default_rng(rng))
-    state["head.w"] = new_w.data
-    state["head.b"] = new_b.data
-    new.load_state_dict(state)
+    new.head_w.data[:] = new_w.data
+    new.head_b.data[:] = new_b.data
     return new
 
 
 # -- checkpoint container -----------------------------------------------------
 #
 # Layout: magic, u32 version, u64-length JSON header (config, metadata, and
-# "tensors": the config's layout() as {"name", "shape"} objects), then raw
-# little-endian float64 tensor payloads back to back in that order. A loader
-# checks that the "tensors" list equals its config's layout (names, shapes,
-# order) before it reads any payload or allocates any weight. Everything is
-# a pure function of the content, so identical models produce identical bytes.
+# "tensors": the config's layout() as {"name", "shape"} objects), then the
+# payload: ``model.flat`` as raw little-endian float64, which holds the
+# tensors back to back in that order. A loader checks that the "tensors"
+# list equals its config's layout (names, shapes, order) before it reads any
+# payload or allocates any weight. Everything is a pure function of the
+# content, so identical models produce identical bytes.
 
 def save(model: MambaTabModel, path, metadata: dict | None = None) -> None:
     header = {
@@ -236,8 +232,7 @@ def save(model: MambaTabModel, path, metadata: dict | None = None) -> None:
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for _, p in model.named_parameters():
-            fh.write(p.data.astype("<f8").tobytes())
+        fh.write(model.flat.astype("<f8", copy=False).tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -294,12 +289,11 @@ def load_with_metadata(path) -> tuple[MambaTabModel, dict]:
         raw = _read_exact(fh, 8 * ends[-1], "tensor payload")
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    flat = np.frombuffer(raw, dtype="<f8")
     finite = np.isfinite(flat)
     if not finite.all():
         name = entries[np.searchsorted(ends, np.argmin(finite), side="right")]["name"]
         raise CheckpointError(f"tensor '{name}' holds non-finite values")
     model = MambaTabModel(config, rng=0)
-    for (_, p), values in zip(model.named_parameters(), np.split(flat, ends[:-1])):
-        p.data = values.reshape(p.shape)
+    model.flat[:] = flat
     return model, header["metadata"]

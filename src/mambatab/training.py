@@ -14,6 +14,7 @@ identical reports bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -103,31 +104,32 @@ def cosine_lr(epoch: int, max_epochs: int, lr0: float) -> float:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray   # first and second moments of every parameter, concatenated
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params])
+        n = sum(p.size for p in params)
+        return cls(m=np.zeros(n), v=np.zeros(n))
 
 
 def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
-    """One bias-corrected update, in place. Parameters with no grad stay put."""
+    """One bias-corrected update, in place. A missing grad counts as zero, so a
+    parameter that never gets one keeps zero moments and stays put."""
     state.step += 1
     t = state.step
-    for p, m, v in zip(params, state.m, state.v):
-        if p.grad is None:
-            continue
-        g = p.grad
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g = np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.ravel() for p in params])
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    for p, end in zip(params, itertools.accumulate(p.size for p in params)):
+        p.data[...] -= update[end - p.size:end].reshape(p.shape)
 
 
 def _abort(cause: NumericsError, report: TrainReport, epoch: int, seed: int) -> NumericsError:
@@ -191,7 +193,7 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
     params = [p for _, p in model.named_parameters()]
     opt = AdamState.for_params(params)
     stopper = EarlyStopper(cfg.patience)
-    best_state = model.state_dict()
+    best = model.flat.copy()
     for epoch in range(1, cfg.max_epochs + 1):
         lr = cosine_lr(epoch - 1, cfg.max_epochs, cfg.lr)
         losses = []
@@ -211,12 +213,12 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
         report.epochs_run = epoch
         stop = stopper.update(vl, epoch)
         if stopper.best_epoch == epoch:
-            best_state = model.state_dict()
+            best = model.flat.copy()
         if stop:
             report.early_stopped = True
             break
     report.best_epoch = stopper.best_epoch
-    model.load_state_dict(best_state)
+    model.flat[:] = best
     return model, report
 
 

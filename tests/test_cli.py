@@ -295,8 +295,8 @@ class TestEval:
         enc = tabular.transform(tabular.Preprocessor.from_dict(meta["preprocessor"]), test_t)
         z = model.predict_logits(enc.values)
         scale = 50.0 / (z.max() - z.min())
-        model.head_w.data = model.head_w.data * scale
-        model.head_b.data = model.head_b.data * scale + 40.0 - scale * np.median(z)
+        model.head_w.data *= scale
+        model.head_b.data[:] = model.head_b.data * scale + 40.0 - scale * np.median(z)
         spread = tmp_path / "spread.ckpt"
         model_mod.save(model, spread, metadata=meta)
         logits = model.predict_logits(enc.values)

@@ -44,13 +44,12 @@ class TestForward:
         # M=3 with blocks 2,3 zeroed must equal the M=1 model sharing block 1.
         m1 = small_model(seed=3, n_blocks=1)
         m3 = small_model(seed=7, n_blocks=3)
-        state = m3.state_dict()
-        for name, arr in m1.state_dict().items():
-            state[name] = arr
-        for i in (1, 2):
-            state[f"blocks.{i}.out_proj.w"] = np.zeros_like(state[f"blocks.{i}.out_proj.w"])
-            state[f"blocks.{i}.out_proj.b"] = np.zeros_like(state[f"blocks.{i}.out_proj.b"])
-        m3.load_state_dict(state)
+        own = dict(m3.named_parameters())
+        for name, p in m1.named_parameters():
+            own[name].data[...] = p.data
+        for block in m3.blocks[1:]:
+            block.out_proj_w.data[:] = 0.0
+            block.out_proj_b.data[:] = 0.0
         x = np.random.default_rng(2).uniform(0, 1, size=(5, 5))
         assert np.allclose(m3.forward(x).data, m1.forward(x).data, atol=1e-12)
 
@@ -257,18 +256,6 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing bytes"):
             M.load(path)
-
-    @pytest.mark.parametrize("damage,match", [
-        (lambda s: s.pop("head.b"), r"keys mismatch: \['head.b'\]"),
-        (lambda s: s.update(extra=np.zeros(1)), r"keys mismatch: \['extra'\]"),
-        (lambda s: s.update({"embed.b": np.zeros(3)}), "shape mismatch for 'embed.b'"),
-    ], ids=["missing_key", "unknown_key", "wrong_shape"])
-    def test_load_state_dict_names_the_bad_key(self, damage, match):
-        m = small_model()
-        state = m.state_dict()
-        damage(state)
-        with pytest.raises(ValueError, match=match):
-            m.load_state_dict(state)
 
     def test_save_is_deterministic(self, tmp_path):
         m = small_model(seed=12)

@@ -186,8 +186,8 @@ class TestTrainSupervised:
         model = MambaTabModel(ModelConfig(n_features=5, embed_dim=8, state_size=4), rng=3)
         z = model.predict_logits(va.values)
         scale = 50.0 / (z.max() - z.min())
-        model.head_w.data = model.head_w.data * scale
-        model.head_b.data = model.head_b.data * scale + 40.0 - scale * np.median(z)
+        model.head_w.data *= scale
+        model.head_b.data[:] = model.head_b.data * scale + 40.0 - scale * np.median(z)
         best, report = train_supervised(model, tr, va, TrainConfig(seed=0, max_epochs=1, lr=1e-9))
         logits = best.predict_logits(va.values)
         assert np.sum(logits > 40.0) >= 5
