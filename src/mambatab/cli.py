@@ -183,6 +183,15 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(list(row.values()) for row in rows)
 
 
+def _check_test_classes(table: Table, split_seed: int, whose: str) -> None:
+    """Reject a split whose test part lacks a class: its AUROC is undefined."""
+    labels = table.labels[tabular.split_rows(table.n_rows, split_seed)[2]]
+    n_pos = int(labels.sum())
+    if n_pos in (0, len(labels)):
+        raise SchemaError(f"{whose} test split holds {n_pos} positive and "
+                          f"{len(labels) - n_pos} negative rows; test AUROC needs both")
+
+
 def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
     """Run every seed, write per-seed artifacts and the aggregate summary."""
     schema = SchemaConfig.from_file(spec.schema)
@@ -194,6 +203,9 @@ def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
         raise SchemaError(f"{spec.dataset}: {table.n_rows} data rows and {table.n_features} "
                           f"feature columns; {spec.regime} training needs at least "
                           f"{tabular.MIN_ROWS} and {min_features}")
+    for seed in spec.seeds:
+        _check_test_classes(table, child_seed(seed, training.STREAM_SPLIT),
+                            f"{spec.dataset}: seed {seed}'s")
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "runspec.json", asdict(spec))
@@ -275,6 +287,11 @@ def cmd_eval(checkpoint_path: str, dataset: str, schema_path: str,
     if table.column_names != meta["columns"]:
         raise SchemaError(
             f"dataset columns {table.column_names} differ from checkpoint's {meta['columns']}")
+    whose = f"{dataset} under {checkpoint_path}:"
+    if table.n_rows < tabular.MIN_ROWS:
+        raise SchemaError(f"{whose} {table.n_rows} data rows; evaluation splits need at "
+                          f"least {tabular.MIN_ROWS}")
+    _check_test_classes(table, meta["split_seed"], f"{whose} the")
     _, _, test_t = tabular.split(table, meta["split_seed"])
     enc_test = tabular.transform(pre, test_t)
     if enc_test.n_features != model.config.n_features:

@@ -378,25 +378,27 @@ def transform(pre: Preprocessor, table: Table) -> EncodedMatrix:
 
 
 def split(table: Table, seed: int) -> tuple[Table, Table, Table]:
-    """Seeded shuffle into train 70% / validation 10% / test 20%.
-
-    Train and validation sizes round down; the test split takes the
-    remaining rows.
-    """
-    m = table.n_rows
-    if m < MIN_ROWS:
-        raise ValueError(f"need at least {MIN_ROWS} rows to split, got {m}")
-    perm = np.random.default_rng(seed).permutation(m)
-    n_train = m * 7 // 10   # integer arithmetic: int(m * 0.7) misrounds e.g. m=690
-    n_val = m // 10
-    train_idx = perm[:n_train]
-    val_idx = perm[n_train:n_train + n_val]
-    test_idx = perm[n_train + n_val:]
+    """Seeded shuffle into train 70% / validation 10% / test 20%."""
+    train_idx, val_idx, test_idx = split_rows(table.n_rows, seed)
     return (
         table.select_rows(train_idx, split="train"),
         table.select_rows(val_idx, split="val"),
         table.select_rows(test_idx, split="test"),
     )
+
+
+def split_rows(m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices of ``split``'s train, validation and test parts.
+
+    Train and validation sizes round down; the test split takes the
+    remaining rows.
+    """
+    if m < MIN_ROWS:
+        raise ValueError(f"need at least {MIN_ROWS} rows to split, got {m}")
+    perm = np.random.default_rng(seed).permutation(m)
+    n_train = m * 7 // 10   # integer arithmetic: int(m * 0.7) misrounds e.g. m=690
+    n_val = m // 10
+    return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
 
 
 @dataclass

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mambatab import cli, metrics, model as model_mod, synthetic, tabular
+from mambatab import cli, metrics, model as model_mod, synthetic, tabular, training
 from mambatab.cli import EXIT_OK, EXIT_USAGE, RunSpec, cmd_eval, cmd_sweep, cmd_train, main
 from mambatab.tabular import SchemaConfig
 
@@ -50,6 +50,12 @@ def rewrite_header(src, dst, header: dict, length: int | None = None) -> None:
     old_len = struct.unpack("<Q", raw[8:16])[0]
     dst.write_bytes(raw[:8] + struct.pack("<Q", len(header_bytes) if length is None else length)
                     + header_bytes + raw[16 + old_len:])
+
+
+def split_row_ids(n_rows: int, seed: int) -> list[list[int]]:
+    """The row numbers in each of ``tabular.split``'s train, validation and test parts."""
+    table = tabular.Table(["row"], [list(range(n_rows))], np.zeros(n_rows, dtype=np.int64))
+    return [part.columns[0] for part in tabular.split(table, seed)]
 
 
 def quick_spec(dataset, out_dir, **overrides) -> RunSpec:
@@ -304,6 +310,28 @@ class TestEval:
         result = cmd_eval(str(spread), csv_path, schema_path, quiet=True)
         assert result.auroc == metrics.auroc(logits, enc.labels)
         assert result.auroc != metrics.auroc(model.predict_proba(enc.values), enc.labels)
+
+    @pytest.mark.parametrize("case", ["few_rows", "one_class_test_split"])
+    def test_small_or_one_class_split_exits_one(self, dataset, trained_ckpt, tmp_path, capsys,
+                                                case):
+        csv_path, schema_path = dataset
+        header, *rows = Path(csv_path).read_text().splitlines()
+        pos = [r for r in rows if r.endswith(",1")]
+        neg = [r for r in rows if r.endswith(",0")]
+        if case == "few_rows":
+            keep = pos[:3] + neg[:3]
+            expect = "6 data rows; evaluation splits need at least 10"
+        else:   # the one positive lands in the checkpoint's training split
+            split_seed = model_mod.load_with_metadata(trained_ckpt)[1]["split_seed"]
+            first_train_row = split_row_ids(12, split_seed)[0][0]
+            keep = [pos[0] if i == first_train_row else neg[i] for i in range(12)]
+            expect = "the test split holds 0 positive and 3 negative rows; test AUROC needs both"
+        small = tmp_path / "small.csv"
+        small.write_text("\n".join([header, *keep]) + "\n")
+        code = main(["eval", "--checkpoint", str(trained_ckpt), "--dataset", str(small),
+                     "--schema", schema_path, "--quiet"])
+        assert code == EXIT_USAGE
+        assert f"error: {small} under {trained_ckpt}: {expect}" in capsys.readouterr().err
 
     def test_huge_config_rejected_before_building_a_model(self, dataset, trained_ckpt, tmp_path,
                                                           monkeypatch, capsys):
@@ -640,6 +668,32 @@ class TestDataErrors:
         assert code == EXIT_USAGE
         assert f"error: {csv_path}: {counts}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_one_class_test_split_exits_one_before_output(self, tmp_path, capsys):
+        # 12 rows split 8 / 1 / 3. Both positives sit in seed 0's training
+        # rows, and one of them in seed 1's test rows.
+        (train0, _, _), (_, _, test1) = (
+            split_row_ids(12, training.child_seed(seed, training.STREAM_SPLIT)) for seed in (0, 1))
+        shared = sorted(set(train0) & set(test1))
+        positives = {shared[0], next(i for i in train0 if i != shared[0])}
+        csv_path, schema_path = tmp_path / "rare.csv", tmp_path / "rare.schema"
+        csv_path.write_text("f0,label\n" + "".join(f"{i},{int(i in positives)}\n"
+                                                   for i in range(12)))
+        schema_path.write_text("label_column = label\npositive_label = 1\n")
+
+        def train(seeds, out):
+            return main(["train", "--dataset", str(csv_path), "--schema", str(schema_path),
+                         "--out", str(tmp_path / out), "--seeds", seeds, "--max-epochs", "1",
+                         "--embed-dim", "4", "--state-size", "2", "--quiet"])
+
+        assert train("1,0", "bad") == EXIT_USAGE
+        assert (f"error: {csv_path}: seed 0's test split holds 0 positive and 3 negative rows"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "bad").exists()   # seed 1 is checked and never trained
+        # seed 1's one-row validation split holds one class, which stays legal
+        assert train("1", "good") == EXIT_OK
+        report = json.loads((tmp_path / "good" / "seed_1" / "report.json").read_text())
+        assert report["report"]["val_auroc"] == [None]
 
     @pytest.mark.parametrize("target,text,line,problem", [
         ("schema", "label_colum = label\npositive_label = 1\n", 1, "unknown key 'label_colum'"),

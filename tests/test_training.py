@@ -4,8 +4,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from mambatab import metrics, synthetic, tabular, tensor as T, training
-from mambatab.model import MambaTabModel, ModelConfig, swap_head
+from mambatab import metrics, model as model_mod, synthetic, tabular, tensor as T, training
+from mambatab.model import MambaTabModel, ModelConfig, swap_head, transfer_weights
 from mambatab.tensor import Tensor
 from mambatab.training import (
     AdamState, EarlyStopper, Stage, TrainConfig, adam_step, bce_with_logits,
@@ -419,3 +419,61 @@ class TestIncremental:
         with pytest.raises(ValueError, match="stage columns must be sorted"):
             train_incremental(stages, ModelConfig(n_features=6, embed_dim=8, state_size=4),
                               TrainConfig(seed=0, max_epochs=1))
+
+
+
+def assert_views_tile_flat(model):
+    """Each parameter's data is the C-contiguous view of its own layout slice
+    of ``model.flat``, and the slices cover the vector in layout order."""
+    flat = model.flat
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+    base = flat.__array_interface__["data"][0]
+    offset = 0
+    for (name, shape), (own_name, p) in zip(model.config.layout(), model.named_parameters(),
+                                            strict=True):
+        assert own_name == name and p.shape == shape
+        assert np.shares_memory(p.data, flat) and p.data.flags.c_contiguous, name
+        assert p.data.__array_interface__["data"][0] == base + 8 * offset, name
+        offset += p.size
+    assert offset == flat.size
+
+
+FLAT_CFG = ModelConfig(n_features=5, embed_dim=8, state_size=4, n_blocks=2)
+FLAT_SSL = replace(FLAT_CFG, head="reconstruction")
+FLAT_FIT = TrainConfig(seed=0, max_epochs=3, lr=1e-2)
+
+
+def fit_data():
+    return encoded(synthetic.logistic_table(150, 3, 2, seed=5))[:2]
+
+
+def loaded(tmp_path):
+    model_mod.save(MambaTabModel(FLAT_CFG, rng=1), tmp_path / "m.ckpt")
+    return model_mod.load(tmp_path / "m.ckpt")
+
+
+MODEL_SOURCES = {
+    "constructed": lambda tmp_path: MambaTabModel(FLAT_CFG, rng=1),
+    "loaded": loaded,
+    "transferred": lambda tmp_path: transfer_weights(
+        MambaTabModel(replace(FLAT_CFG, n_features=3), rng=1), FLAT_CFG, [4, 0, 2]),
+    "head_swapped": lambda tmp_path: swap_head(MambaTabModel(FLAT_SSL, rng=1), "classification", 2),
+    "supervised": lambda tmp_path: train_supervised(
+        MambaTabModel(FLAT_CFG, rng=1), *fit_data(), FLAT_FIT)[0],
+    "ssl": lambda tmp_path: pretrain_ssl(MambaTabModel(FLAT_SSL, rng=1), *fit_data(), FLAT_FIT)[0],
+}
+
+
+class TestFlatStorage:
+    @pytest.mark.parametrize("source", MODEL_SOURCES)
+    def test_parameters_are_views_of_one_vector(self, source, tmp_path):
+        assert_views_tile_flat(MODEL_SOURCES[source](tmp_path))
+
+    def test_a_log_stays_bit_identical_through_training(self):
+        # a_log never gets a gradient, so flat Adam's zero-gradient slot must leave it be
+        model = MambaTabModel(FLAT_CFG, rng=1)
+        start = model.flat.copy()
+        a_logs = [block.a_log.data.tobytes() for block in model.blocks]
+        best, report = train_supervised(model, *fit_data(), FLAT_FIT)
+        assert report.best_epoch >= 1 and not np.array_equal(best.flat, start)
+        assert [block.a_log.data.tobytes() for block in best.blocks] == a_logs
