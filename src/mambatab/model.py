@@ -96,8 +96,8 @@ class MambaTabModel:
             for _ in range(config.n_blocks)
         ]
         self.head_w, self.head_b = _init_head(config, rng)
-        # One float64 vector in layout order holds every weight; each
-        # parameter's data is a view into it, so writes go through either.
+        # Every weight lives in one float64 vector in layout order; each
+        # parameter's data is a view into it, written in place, never rebound.
         params = [p for _, p in self.named_parameters()]
         self.flat = np.concatenate([p.data.ravel() for p in params])
         ends = itertools.accumulate(p.size for p in params)

@@ -421,7 +421,6 @@ class TestIncremental:
                               TrainConfig(seed=0, max_epochs=1))
 
 
-
 def assert_views_tile_flat(model):
     """Each parameter's data is the C-contiguous view of its own layout slice
     of ``model.flat``, and the slices cover the vector in layout order."""
