@@ -24,7 +24,13 @@ from .tensor import Tensor, _sigmoid
 
 CHECKPOINT_MAGIC = b"MTCK"
 CHECKPOINT_VERSION = 1
-CHUNK_ROWS = 1024   # rows per forward pass when scoring or validating
+# Rows per forward pass when scoring or validating. The chunk size is part of
+# the numbers, because the BLAS picks its matmul kernel by matrix shape: on
+# three trained 12-feature checkpoints scoring 50k rows, 256-row chunks changed
+# the last bits of a few logits on two of them and 128-row chunks on all
+# three, and a change there moves validation losses and so training. 512-row
+# chunks kept every bit but were no faster.
+CHUNK_ROWS = 1024
 
 
 class CheckpointError(ValueError):
@@ -115,16 +121,19 @@ class MambaTabModel:
         for _, p in self.named_parameters():
             p.zero_grad()
 
-    def forward(self, x) -> Tensor:
+    def forward(self, x, *, graph: bool = True):
         """Logits [B, 1] (classification) or reconstruction [B, n_features].
 
         ``x`` is a [B, n_features] array of values in [0, 1], or a Tensor.
+        With ``graph=False`` (``x`` an array) the same values come back bit
+        for bit as a plain array, and no autodiff graph is recorded:
+        scoring and validation run that way, training steps on the graph.
         """
+        if not graph:
+            return self._forward_array(x)
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        if x.shape[-1] != self.config.n_features:
-            raise ValueError(
-                f"input has {x.shape[-1]} features, model expects {self.config.n_features}")
+        self._check_width(x.shape)
         h = T.linear(x, self.embed_w, self.embed_b)
         if self.config.use_layer_norm:
             h = T.layer_norm(h, self.ln_gamma, self.ln_beta)
@@ -134,6 +143,50 @@ class MambaTabModel:
             h = ssm.mamba_block_forward(block, h) + h
         flat = T.reshape(h, (x.shape[0], self.config.embed_dim))
         return T.linear(flat, self.head_w, self.head_b)
+
+    def _check_width(self, shape) -> None:
+        if shape[-1] != self.config.n_features:
+            raise ValueError(
+                f"input has {shape[-1]} features, model expects {self.config.n_features}")
+
+    def _forward_array(self, x) -> np.ndarray:
+        """``forward``'s output as an array, computed in plain numpy at L = 1.
+
+        Every numpy call is the graph's own, made on the same views in the
+        same order, so the output is bit-identical; ``-exp(a_log)``, which
+        L = 1 never reads, is skipped. The graph checks every op's output
+        for non-finite values. A non-finite value reaches the output here
+        unless ReLU or softplus maps -inf to 0, or it sits in the skipped
+        ``exp``, so checking the input, the ReLU input, each softplus input,
+        ``exp(a_log)`` and the output fails exactly when the graph would.
+        A failed check replays the chunk through the graph, which raises
+        the NumericsError that names the op.
+        """
+        x = T._as_array(x)
+        if not np.isfinite(x).all():
+            self._replay(x)
+        self._check_width(x.shape)
+        cfg = self.config
+        with np.errstate(all="ignore"):   # the checks below find what numpy would warn of
+            h = _linear(x, self.embed_w.data, self.embed_b.data)
+            if cfg.use_layer_norm:
+                h = T._layer_norm(h, self.ln_gamma.data, self.ln_beta.data)[0]
+            finite = bool(np.isfinite(h).all())
+            h = np.maximum(h, 0.0).reshape((x.shape[0], 1, cfg.embed_dim))
+            for block in self.blocks:
+                y, block_finite = _block_array(block, h)
+                h = y + h
+                finite = finite and block_finite
+            out = _linear(h.reshape((x.shape[0], cfg.embed_dim)), self.head_w.data, self.head_b.data)
+        if not (finite and np.isfinite(out).all()):
+            self._replay(x)
+        return out
+
+    def _replay(self, x: np.ndarray):
+        """Run ``x`` through the graph, which raises the NumericsError naming
+        the op and warns as it always did."""
+        self.forward(x)
+        raise AssertionError("the graph accepted a chunk the graph-free forward rejected")
 
     def predict_logits(self, values: np.ndarray) -> np.ndarray:
         """Classification logits [m] for [m, n_features] rows, chunked."""
@@ -152,15 +205,46 @@ class MambaTabModel:
     def forward_chunks(self, values: np.ndarray):
         """Yield (row slice, forward output array) per ``CHUNK_ROWS`` rows, in order.
 
-        Only the output array is kept, so each chunk's graph is freed
-        before the next chunk's forward runs.
+        Each chunk runs the graph-free forward, so no autodiff graph is built.
         """
         for start in range(0, len(values), CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
-            yield rows, self.forward(values[rows]).data
+            yield rows, self.forward(values[rows], graph=False)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``T.linear``'s numpy calls: flatten the leading axes, matmul, restore them, add."""
+    out = (x.reshape((-1, x.shape[-1])) @ w).reshape(x.shape[:-1] + (w.shape[1],))
+    return out if b is None else out + b
+
+
+def _silu(x: np.ndarray) -> np.ndarray:
+    return x * _sigmoid(x)
+
+
+def _block_array(p: ssm.MambaBlockParams, u: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``ssm.mamba_block_forward`` on a [B, 1, D] array, and whether its
+    softplus input and ``exp(a_log)`` are finite."""
+    d_inner = p.conv_bias.shape[0]
+    r, n = p.dt_proj_w.shape[0], p.a_log.shape[1]
+    xz = _linear(u, p.in_proj_w.data, p.in_proj_b.data)
+    x, z = xz[..., :d_inner], xz[..., d_inner:]
+    conv = np.zeros_like(x)   # causal_conv1d at L = 1: only the last tap reaches
+    conv += p.conv_kernel.data[:, -1] * x   # zeros plus the tap, so -0.0 becomes +0.0
+    x = _silu(conv + p.conv_bias.data)
+    dbc = _linear(x, p.x_proj_w.data)
+    dt = _linear(dbc[..., :r], p.dt_proj_w.data, p.dt_proj_b.data)
+    delta = T._softplus(dt)
+    # selective_scan's collapsed single step
+    bc = (dbc[..., r:r + n][:, 0, :] * dbc[..., r + n:][:, 0, :]).sum(axis=-1, keepdims=True)
+    u0 = x[:, 0, :]
+    y = (delta[:, 0, :] * u0 * bc + p.d_skip.data * u0).reshape(x.shape)
+    y = y * _silu(z)
+    finite = bool(np.isfinite(dt).all() and np.isfinite(np.exp(p.a_log.data)).all())
+    return _linear(y, p.out_proj_w.data, p.out_proj_b.data), finite
 
 
 def _init_head(config: ModelConfig, rng: np.random.Generator):

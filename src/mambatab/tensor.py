@@ -221,10 +221,14 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(s, (x,), lambda g: (g * s * (1.0 - s),), "sigmoid")
 
 
-def softplus(x: Tensor) -> Tensor:
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow."""
     with np.errstate(under="ignore"):   # log(1 + e) with e underflowing to 0
-        data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-    return _make(data, (x,), lambda g: (g * _sigmoid(x.data),), "softplus")
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def softplus(x: Tensor) -> Tensor:
+    return _make(_softplus(x.data), (x,), lambda g: (g * _sigmoid(x.data),), "softplus")
 
 
 def silu(x: Tensor) -> Tensor:
@@ -309,13 +313,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """(gamma * xhat + beta, xhat, 1/std): x normalized over its last axis."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu) * inv
+    return gamma * xhat + beta, xhat, inv
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x.data - mu) * inv
-    data = gamma.data * xhat + beta.data
+    data, xhat, inv = _layer_norm(x.data, gamma.data, beta.data)
     reduce_axes = tuple(range(x.data.ndim - 1))
 
     def grad_fn(g):

@@ -197,17 +197,17 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
     for epoch in range(1, cfg.max_epochs + 1):
         lr = cosine_lr(epoch - 1, cfg.max_epochs, cfg.lr)
         losses = []
-        for idx in _batches(n_rows, cfg.batch_size, rng):
-            try:
+        try:
+            for idx in _batches(n_rows, cfg.batch_size, rng):
                 loss = batch_loss(idx)
                 model.zero_grad()
                 loss.backward()
-            except NumericsError as e:
-                raise _abort(e, report, epoch, cfg.seed) from e
-            adam_step(params, opt, lr)
-            losses.append(loss.item())
-        report.train_loss.append(float(np.mean(losses)))
-        vl, auc = validate()
+                adam_step(params, opt, lr)
+                losses.append(loss.item())
+            report.train_loss.append(float(np.mean(losses)))
+            vl, auc = validate()
+        except NumericsError as e:
+            raise _abort(e, report, epoch, cfg.seed) from e
         report.val_loss.append(vl)
         report.val_auroc.append(auc)
         report.epochs_run = epoch

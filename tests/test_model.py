@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mambatab import model as M
 from mambatab import ssm
 from mambatab.model import CheckpointError, MambaTabModel, ModelConfig
+from mambatab.tensor import NumericsError
 
 SMALL = dict(n_features=5, embed_dim=4, state_size=4, expand=2, d_conv=4)
 
@@ -84,6 +86,71 @@ class TestForward:
         chunked = m.predict_proba(x)
         monkeypatch.setattr(M, "CHUNK_ROWS", 64)
         assert np.allclose(chunked, m.predict_proba(x))
+
+
+def _plant_input(m, x):
+    x[3, 1] = np.nan
+
+
+def _plant_embed_overflow(m, x):
+    # With layer norm off the embedding's -inf reaches ReLU, which makes it 0.
+    m.embed_w.data[:] = -1e300
+    x[:] = 1e9
+
+
+def _plant_softplus_input(m, x):
+    m.blocks[-1].dt_proj_b.data[5] = -np.inf   # softplus(-inf) == 0
+
+
+def _plant_a_log(m, x):
+    m.blocks[0].a_log.data[2, 3] = 800.0        # exp overflows; L = 1 never reads it
+
+
+def _plant_head_overflow(m, x):
+    m.head_w.data[:] = 1e308
+
+
+class TestGraphFreeForward:
+    @settings(max_examples=60, deadline=None)
+    @given(n_blocks=st.integers(1, 3), layer_norm=st.booleans(),
+           head=st.sampled_from(["classification", "reconstruction"]),
+           width=st.sampled_from([(4, 4), (8, 2), (32, 32)]), rows=st.integers(1, 1100),
+           noise=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**16))
+    @example(n_blocks=1, layer_norm=True, head="classification", width=(32, 32),
+             rows=M.CHUNK_ROWS, noise=0.3, seed=0)
+    @example(n_blocks=2, layer_norm=False, head="reconstruction", width=(32, 32),
+             rows=50_000 % M.CHUNK_ROWS, noise=0.3, seed=1)   # score_50k's tail chunk
+    @example(n_blocks=3, layer_norm=True, head="classification", width=(8, 2),
+             rows=M.CHUNK_ROWS + 1, noise=1.0, seed=2)
+    def test_bit_identical_to_graph(self, n_blocks, layer_norm, head, width, rows, noise, seed):
+        rng = np.random.default_rng(seed)
+        m = MambaTabModel(ModelConfig(n_features=7, embed_dim=width[0], state_size=width[1],
+                                      n_blocks=n_blocks, head=head, use_layer_norm=layer_norm),
+                          rng=seed)
+        m.flat += rng.normal(0.0, noise, m.flat.size)
+        x = rng.uniform(0.0, 1.0, size=(rows, 7))
+        a, b = m.forward(x).data, m.forward(x, graph=False)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()   # bytes also tell -0.0 from 0.0
+
+    @pytest.mark.parametrize("plant", [_plant_input, _plant_embed_overflow, _plant_softplus_input,
+                                       _plant_a_log, _plant_head_overflow])
+    def test_planted_non_finite_raises_the_graphs_error(self, plant):
+        m = small_model(seed=1, n_blocks=2, use_layer_norm=plant is not _plant_embed_overflow)
+        x = np.random.default_rng(5).uniform(0.0, 1.0, size=(9, 5))
+        plant(m, x)
+        with pytest.raises(NumericsError) as graph:
+            m.forward(x)
+        with pytest.raises(NumericsError) as free:
+            m.forward(x, graph=False)
+        assert str(free.value) == str(graph.value)
+
+    def test_width_checked_after_finiteness_as_in_the_graph(self):
+        m = small_model()
+        with pytest.raises(ValueError, match="input has 7 features"):
+            m.forward(np.zeros((2, 7)), graph=False)
+        with pytest.raises(NumericsError, match="tensor created"):
+            m.forward(np.full((2, 7), np.inf), graph=False)
 
 
 class TestParameterCount:

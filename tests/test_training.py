@@ -218,6 +218,20 @@ class TestTrainSupervised:
         assert "epoch 1" in str(exc.value)
         assert isinstance(exc.value.report, training.TrainReport)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")   # layer norm's var
+    def test_validation_failure_aborts_with_partial_report(self):
+        # 105 training rows make one batch per epoch, so the first validation
+        # runs right after the first lr=1e300 step.
+        tr, va, _ = encoded(synthetic.logistic_table(150, 3, 1, seed=14))
+        assert tr.n_rows <= TrainConfig.batch_size
+        model = MambaTabModel(ModelConfig(n_features=tr.values.shape[1]), rng=0)
+        with pytest.raises(T.NumericsError) as exc:
+            train_supervised(model, tr, va, TrainConfig(lr=1e300))
+        assert "epoch 1 (seed 0)" in str(exc.value)
+        report = exc.value.report
+        assert isinstance(report, training.TrainReport)
+        assert len(report.train_loss) == 1 and report.val_loss == []
+
     def test_single_step_descent_on_fixed_batch(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 1, size=(32, 4))
@@ -249,6 +263,24 @@ class TestTrainSupervised:
         model.zero_grad()
         loss.backward()
         assert len(made) == 56, made
+
+    def test_inference_builds_no_graph(self, monkeypatch):
+        made, make = [], T._make
+
+        def counting_make(*args):
+            made.append(args[-1])
+            return make(*args)
+
+        monkeypatch.setattr(T, "_make", counting_make)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, 1, size=(3000, 12))
+        model = MambaTabModel(ModelConfig(n_features=12), rng=0)
+        model.predict_logits(x)
+        assert made == []
+        # The forward part of validation: a loss that builds no node of its own.
+        training._validation_pass(model, x, rng.integers(0, 2, size=len(x)),
+                                  lambda out, target: Tensor(0.0))
+        assert made == []
 
 
 class TestSsl:
