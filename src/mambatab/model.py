@@ -29,7 +29,13 @@ CHECKPOINT_VERSION = 1
 # three trained 12-feature checkpoints scoring 50k rows, 256-row chunks changed
 # the last bits of a few logits on two of them and 128-row chunks on all
 # three, and a change there moves validation losses and so training. 512-row
-# chunks kept every bit but were no faster.
+# chunks kept every bit but were no faster. One `forward_chunks` call runs all
+# its chunks in one workspace of float64 buffers (`_workspace`), sized for one
+# chunk and written with `out=`; a tail chunk uses leading rows. Allocating a
+# chunk's intermediates afresh let the allocator hand about 6 MB back to the
+# system after every chunk and fault it in again for the next. The workspace
+# lives for that call only, and the array each chunk returns is new, because
+# validation and scoring keep every chunk's output.
 CHUNK_ROWS = 1024
 
 
@@ -91,24 +97,36 @@ class ModelConfig:
 class MambaTabModel:
     def __init__(self, config: ModelConfig, rng: np.random.Generator | int = 0):
         rng = np.random.default_rng(rng)
-        self.config = config
         d = config.embed_dim
-        self.embed_w = ssm.uniform_init(rng, config.n_features, (config.n_features, d))
-        self.embed_b = Tensor(np.zeros(d), requires_grad=True)
-        self.ln_gamma = Tensor(np.ones(d), requires_grad=True)
-        self.ln_beta = Tensor(np.zeros(d), requires_grad=True)
-        self.blocks = [
-            ssm.init_mamba_block(d, config.expand, config.state_size, config.d_conv, rng)
-            for _ in range(config.n_blocks)
-        ]
-        self.head_w, self.head_b = _init_head(config, rng)
+        embed_w = ssm.uniform_init(rng, config.n_features, (config.n_features, d))
+        blocks = [ssm.init_mamba_block(d, config.expand, config.state_size, config.d_conv, rng)
+                  for _ in range(config.n_blocks)]
+        head_w, head_b = _init_head(config, rng)
+        weights = [embed_w.data, np.zeros(d), np.ones(d), np.zeros(d),
+                   *(p.data for block in blocks for _, p in block.named_parameters()),
+                   head_w.data, head_b.data]
+        self._bind(config, np.concatenate([w.ravel() for w in weights]))
+
+    @classmethod
+    def _from_flat(cls, config: ModelConfig, flat: np.ndarray) -> "MambaTabModel":
+        """A model whose weights are ``flat`` itself, drawing nothing."""
+        model = cls.__new__(cls)
+        model._bind(config, flat)
+        return model
+
+    def _bind(self, config: ModelConfig, flat: np.ndarray) -> None:
         # Every weight lives in one float64 vector in layout order; each
         # parameter's data is a view into it, written in place, never rebound.
-        params = [p for _, p in self.named_parameters()]
-        self.flat = np.concatenate([p.data.ravel() for p in params])
-        ends = itertools.accumulate(p.size for p in params)
-        for p, end in zip(params, ends):
-            p.data = self.flat[end - p.size:end].reshape(p.shape)
+        self.config, self.flat = config, flat
+        shapes = [shape for _, shape in config.layout()]
+        ends = itertools.accumulate(math.prod(shape) for shape in shapes)
+        params = [Tensor(flat[end - math.prod(shape):end].reshape(shape), requires_grad=True)
+                  for shape, end in zip(shapes, ends)]
+        self.embed_w, self.embed_b, self.ln_gamma, self.ln_beta = params[:4]
+        k = len(ssm.BLOCK_NAMES)
+        self.blocks = [ssm.MambaBlockParams(*params[4 + i * k:4 + (i + 1) * k])
+                       for i in range(config.n_blocks)]
+        self.head_w, self.head_b = params[-2:]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """(checkpoint name, tensor) pairs in ``config.layout()`` order."""
@@ -121,16 +139,18 @@ class MambaTabModel:
         for _, p in self.named_parameters():
             p.zero_grad()
 
-    def forward(self, x, *, graph: bool = True):
+    def forward(self, x, *, graph: bool = True, _work: dict[str, np.ndarray] | None = None):
         """Logits [B, 1] (classification) or reconstruction [B, n_features].
 
         ``x`` is a [B, n_features] array of values in [0, 1], or a Tensor.
         With ``graph=False`` (``x`` an array) the same values come back bit
         for bit as a plain array, and no autodiff graph is recorded:
         scoring and validation run that way, training steps on the graph.
+        ``_work`` is private to ``forward_chunks``, which passes the buffers
+        its chunks share.
         """
         if not graph:
-            return self._forward_array(x)
+            return self._forward_array(x, _work)
         if not isinstance(x, Tensor):
             x = Tensor(x)
         self._check_width(x.shape)
@@ -149,35 +169,38 @@ class MambaTabModel:
             raise ValueError(
                 f"input has {shape[-1]} features, model expects {self.config.n_features}")
 
-    def _forward_array(self, x) -> np.ndarray:
+    def _forward_array(self, x, work: dict[str, np.ndarray] | None = None) -> np.ndarray:
         """``forward``'s output as an array, computed in plain numpy at L = 1.
 
-        Every numpy call is the graph's own, made on the same views in the
-        same order, so the output is bit-identical; ``-exp(a_log)``, which
-        L = 1 never reads, is skipped. The graph checks every op's output
-        for non-finite values. A non-finite value reaches the output here
-        unless ReLU or softplus maps -inf to 0, or it sits in the skipped
-        ``exp``, so checking the input, the ReLU input, each softplus input,
-        ``exp(a_log)`` and the output fails exactly when the graph would.
-        A failed check replays the chunk through the graph, which raises
-        the NumericsError that names the op.
+        Every numpy call is the graph's own, made in the same order on
+        operands of the same values and memory layout, so the output is
+        bit-identical; ``-exp(a_log)``, which
+        L = 1 never reads, is skipped. Intermediates go into ``work``
+        (``_workspace`` buffers for at least as many rows as ``x``; made
+        here when not given) through ``out=``, which leaves every value
+        the same; the output is always a new array. The graph checks every
+        op's output for non-finite values. A non-finite value reaches the
+        output here unless ReLU or softplus maps -inf to 0, or it sits in
+        the skipped ``exp``, so checking the input, the ReLU input, each
+        softplus input, ``exp(a_log)`` and the output fails exactly when
+        the graph would. A failed check replays the chunk through the
+        graph, which raises the NumericsError that names the op.
         """
         x = T._as_array(x)
         if not np.isfinite(x).all():
             self._replay(x)
         self._check_width(x.shape)
-        cfg = self.config
+        rows = x.shape[0]
+        buf = {name: b[:rows] for name, b in (work or _workspace(self.config, rows)).items()}
         with np.errstate(all="ignore"):   # the checks below find what numpy would warn of
-            h = _linear(x, self.embed_w.data, self.embed_b.data)
-            if cfg.use_layer_norm:
-                h = T._layer_norm(h, self.ln_gamma.data, self.ln_beta.data)[0]
-            finite = bool(np.isfinite(h).all())
-            h = np.maximum(h, 0.0).reshape((x.shape[0], 1, cfg.embed_dim))
+            h = _linear(x, self.embed_w.data, self.embed_b.data, out=buf["h"])
+            if self.config.use_layer_norm:
+                T._layer_norm(h, self.ln_gamma.data, self.ln_beta.data, xhat=buf["d"], out=h)
+            finite = _finite(h, buf["mask"])
+            np.maximum(h, 0.0, out=h)
             for block in self.blocks:
-                y, block_finite = _block_array(block, h)
-                h = y + h
-                finite = finite and block_finite
-            out = _linear(h.reshape((x.shape[0], cfg.embed_dim)), self.head_w.data, self.head_b.data)
+                finite = _block_array(block, buf) and finite
+            out = _linear(h, self.head_w.data, self.head_b.data)   # new: callers keep it
         if not (finite and np.isfinite(out).all()):
             self._replay(x)
         return out
@@ -205,46 +228,85 @@ class MambaTabModel:
     def forward_chunks(self, values: np.ndarray):
         """Yield (row slice, forward output array) per ``CHUNK_ROWS`` rows, in order.
 
-        Each chunk runs the graph-free forward, so no autodiff graph is built.
+        Each chunk is a graph-free ``forward`` call. The chunks share one
+        workspace, made for this call and dropped when the generator ends
+        or is closed; every yielded array is new.
         """
-        for start in range(0, len(values), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            yield rows, self.forward(values[rows], graph=False)
+        chunk = CHUNK_ROWS
+        work = _workspace(self.config, min(chunk, len(values)))
+        for start in range(0, len(values), chunk):
+            rows = slice(start, start + chunk)
+            yield rows, self.forward(values[rows], graph=False, _work=work)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
 
-def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """``T.linear``'s numpy calls: flatten the leading axes, matmul, restore them, add."""
-    out = (x.reshape((-1, x.shape[-1])) @ w).reshape(x.shape[:-1] + (w.shape[1],))
-    return out if b is None else out + b
+def _workspace(config: ModelConfig, rows: int) -> dict[str, np.ndarray]:
+    """Buffers for the graph-free forward of up to ``rows`` rows; a shorter
+    chunk uses their leading rows.
+
+    Buffers are shared by liveness. ``h`` holds the residual stream; ``d``
+    the layer norm's xhat, then each block's output projection; ``xz`` the
+    input projection, whose two halves stay live until the gate; ``conv``
+    the conv output, then delta and the scan output y; ``act`` SiLU(conv),
+    which the scan reads as u, then SiLU(z); ``dt`` the softplus input,
+    then d_skip * u; ``tmp`` each SiLU's and softplus's scratch; ``bc`` and
+    ``bc_sum`` the scan's B * C and its row sums; ``mask`` the finiteness
+    checks of ``h`` and of each softplus input.
+    """
+    d, n = config.embed_dim, config.state_size
+    e = config.expand * d
+    widths = {"h": d, "d": d, "xz": 2 * e, "conv": e, "act": e, "dt": e, "tmp": e,
+              "dbc": ssm.dt_rank_for(d) + 2 * n, "bc": n, "bc_sum": 1}
+    work = {name: np.empty((rows, width)) for name, width in widths.items()}
+    work["mask"] = np.empty((rows, max(d, e)), dtype=bool)
+    return work
 
 
-def _silu(x: np.ndarray) -> np.ndarray:
-    return x * _sigmoid(x)
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """``T.linear``'s numpy calls on a 2-D ``x``: matmul, then add the bias,
+    into ``out`` when given, else into a new array."""
+    out = np.matmul(x, w, out=out)
+    return out if b is None else np.add(out, b, out=out)
 
 
-def _block_array(p: ssm.MambaBlockParams, u: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``ssm.mamba_block_forward`` on a [B, 1, D] array, and whether its
-    softplus input and ``exp(a_log)`` are finite."""
+def _silu(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    return np.multiply(x, _sigmoid(x, out=out, tmp=tmp), out=out)
+
+
+def _finite(a: np.ndarray, mask: np.ndarray) -> bool:
+    return bool(np.isfinite(a, out=mask[:, :a.shape[1]]).all())
+
+
+def _block_array(p: ssm.MambaBlockParams, buf: dict[str, np.ndarray]) -> bool:
+    """``ssm.mamba_block_forward`` at L = 1 on ``buf["h"]``, added into it in
+    place as the residual; returns whether the block's softplus input and
+    ``exp(a_log)`` are finite. ``buf`` holds ``_workspace``'s buffers cut to
+    the chunk's rows."""
     d_inner = p.conv_bias.shape[0]
     r, n = p.dt_proj_w.shape[0], p.a_log.shape[1]
-    xz = _linear(u, p.in_proj_w.data, p.in_proj_b.data)
-    x, z = xz[..., :d_inner], xz[..., d_inner:]
-    conv = np.zeros_like(x)   # causal_conv1d at L = 1: only the last tap reaches
-    conv += p.conv_kernel.data[:, -1] * x   # zeros plus the tap, so -0.0 becomes +0.0
-    x = _silu(conv + p.conv_bias.data)
-    dbc = _linear(x, p.x_proj_w.data)
-    dt = _linear(dbc[..., :r], p.dt_proj_w.data, p.dt_proj_b.data)
-    delta = T._softplus(dt)
-    # selective_scan's collapsed single step
-    bc = (dbc[..., r:r + n][:, 0, :] * dbc[..., r + n:][:, 0, :]).sum(axis=-1, keepdims=True)
-    u0 = x[:, 0, :]
-    y = (delta[:, 0, :] * u0 * bc + p.d_skip.data * u0).reshape(x.shape)
-    y = y * _silu(z)
-    finite = bool(np.isfinite(dt).all() and np.isfinite(np.exp(p.a_log.data)).all())
-    return _linear(y, p.out_proj_w.data, p.out_proj_b.data), finite
+    conv, act, dt, tmp = buf["conv"], buf["act"], buf["dt"], buf["tmp"]
+    xz = _linear(buf["h"], p.in_proj_w.data, p.in_proj_b.data, out=buf["xz"])
+    x, z = xz[:, :d_inner], xz[:, d_inner:]
+    # causal_conv1d at L = 1: only the last tap reaches, added to zeros, so
+    # -0.0 becomes +0.0
+    np.add(np.multiply(p.conv_kernel.data[:, -1], x, out=conv), 0.0, out=conv)
+    u = _silu(np.add(conv, p.conv_bias.data, out=conv), out=act, tmp=tmp)
+    dbc = _linear(u, p.x_proj_w.data, out=buf["dbc"])
+    _linear(dbc[:, :r], p.dt_proj_w.data, p.dt_proj_b.data, out=dt)
+    finite = _finite(dt, buf["mask"]) and bool(np.isfinite(np.exp(p.a_log.data)).all())
+    delta = T._softplus(dt, out=conv, tmp=tmp)
+    # selective_scan's collapsed single step: ((delta * u) * (B . C)) + d_skip * u
+    bc = np.multiply(dbc[:, r:r + n], dbc[:, r + n:], out=buf["bc"]).sum(
+        axis=-1, keepdims=True, out=buf["bc_sum"])
+    y = np.multiply(np.multiply(delta, u, out=delta), bc, out=delta)
+    y = np.add(y, np.multiply(p.d_skip.data, u, out=dt), out=y)
+    y = np.multiply(y, _silu(z, out=act, tmp=tmp), out=y)
+    out = _linear(y, p.out_proj_w.data, p.out_proj_b.data, out=buf["d"])
+    np.add(out, buf["h"], out=buf["h"])
+    return finite
 
 
 def _init_head(config: ModelConfig, rng: np.random.Generator):
@@ -275,8 +337,7 @@ def transfer_weights(old: MambaTabModel, new_config: ModelConfig,
         raise ValueError("only n_features may change across a transfer")
     if new_config.head == "reconstruction":
         raise ValueError("transfer with a reconstruction head is not supported")
-    new = MambaTabModel(new_config, rng=0)
-    new.embed_w.data[:] = 0.0
+    new = MambaTabModel._from_flat(new_config, np.zeros(new_config.param_count))
     new.embed_w.data[column_mapping, :] = old.embed_w.data
     new.flat[new.embed_w.size:] = old.flat[old.embed_w.size:]   # embed.w leads the layout
     return new
@@ -285,7 +346,7 @@ def transfer_weights(old: MambaTabModel, new_config: ModelConfig,
 def swap_head(model: MambaTabModel, head: str, rng: np.random.Generator | int) -> MambaTabModel:
     """Same body, freshly initialized head of the requested kind."""
     config = replace(model.config, head=head)
-    new = MambaTabModel(config, rng=0)
+    new = MambaTabModel._from_flat(config, np.zeros(config.param_count))
     body = model.flat.size - model.head_w.size - model.head_b.size   # the head ends the layout
     new.flat[:body] = model.flat[:body]
     new_w, new_b = _init_head(config, np.random.default_rng(rng))
@@ -378,6 +439,4 @@ def load_with_metadata(path) -> tuple[MambaTabModel, dict]:
     if not finite.all():
         name = entries[np.searchsorted(ends, np.argmin(finite), side="right")]["name"]
         raise CheckpointError(f"tensor '{name}' holds non-finite values")
-    model = MambaTabModel(config, rng=0)
-    model.flat[:] = flat
-    return model, header["metadata"]
+    return MambaTabModel._from_flat(config, flat.astype(np.float64)), header["metadata"]

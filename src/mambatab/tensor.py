@@ -206,14 +206,19 @@ def texp(x: Tensor) -> Tensor:
     return _make(data, (x,), lambda g: (g * data,), "exp")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) as exp(min(x, 0)) / (1 + exp(-|x|)).
 
     Both exponents are <= 0, so nothing overflows; underflow toward 0 is
-    the correct limit and is not reported.
+    the correct limit and is not reported. Given buffers shaped like ``x``
+    (neither of them ``x``), the result goes into ``out`` and ``tmp`` is
+    scratch; the values are the same either way.
     """
     with np.errstate(under="ignore"):
-        return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+        num = np.exp(np.minimum(x, 0.0, out=out), out=out)
+        den = np.add(1.0, np.exp(np.negative(np.abs(x, out=tmp), out=tmp), out=tmp), out=tmp)
+        return np.divide(num, den, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -221,10 +226,16 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(s, (x,), lambda g: (g * s * (1.0 - s),), "sigmoid")
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow."""
+def _softplus(x: np.ndarray, out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow.
+
+    ``out`` and ``tmp`` are optional buffers, as for ``_sigmoid``.
+    """
     with np.errstate(under="ignore"):   # log(1 + e) with e underflowing to 0
-        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        pos = np.maximum(x, 0.0, out=out)
+        tail = np.log1p(np.exp(np.negative(np.abs(x, out=tmp), out=tmp), out=tmp), out=tmp)
+        return np.add(pos, tail, out=out)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -313,13 +324,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    """(gamma * xhat + beta, xhat, 1/std): x normalized over its last axis."""
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                xhat: np.ndarray | None = None, out: np.ndarray | None = None):
+    """(gamma * xhat + beta, xhat, 1/std): x normalized over its last axis.
+
+    ``xhat`` and ``out`` are optional buffers shaped like ``x`` for those
+    two results; ``out`` may be ``x`` itself, which is read before it is
+    written. The values are the same either way.
+    """
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x - mu) * inv
-    return gamma * xhat + beta, xhat, inv
+    xhat = np.multiply(np.subtract(x, mu, out=xhat), inv, out=xhat)
+    return np.add(np.multiply(gamma, xhat, out=out), beta, out=out), xhat, inv
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

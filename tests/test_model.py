@@ -1,9 +1,14 @@
+import hashlib
+import itertools
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mambatab import model as M
-from mambatab import ssm
+from mambatab import ssm, training
 from mambatab.model import CheckpointError, MambaTabModel, ModelConfig
 from mambatab.tensor import NumericsError
 
@@ -151,6 +156,47 @@ class TestGraphFreeForward:
             m.forward(np.zeros((2, 7)), graph=False)
         with pytest.raises(NumericsError, match="tensor created"):
             m.forward(np.full((2, 7), np.inf), graph=False)
+
+    @pytest.mark.parametrize("head", ["classification", "reconstruction"])
+    def test_every_chunk_is_a_fresh_array(self, head):
+        # The chunks share one workspace; outputs kept across chunks must not.
+        rng = np.random.default_rng(6)
+        m = small_model(seed=3, n_blocks=2, head=head)
+        m.flat += rng.normal(0.0, 0.3, m.flat.size)
+        x = rng.uniform(0.0, 1.0, size=(2 * M.CHUNK_ROWS + 17, 5))
+        kept = list(m.forward_chunks(x))
+        assert [len(z) for _, z in kept] == [M.CHUNK_ROWS, M.CHUNK_ROWS, 17]
+        if head == "classification":
+            loss, targets = training.bce_with_logits, rng.integers(0, 2, size=len(x))
+        else:
+            loss, targets = training.mse_loss, x
+        _, validated = training._validation_pass(m, x, targets, loss)
+        for outputs in ([z for _, z in kept], validated):
+            for (rows, _), z in zip(kept, outputs, strict=True):
+                assert z.tobytes() == m.forward(x[rows]).data.tobytes()
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(outputs, 2))
+        x_small = x[:40]
+        assert m.forward(x_small, graph=False).tobytes() == m.forward(x_small).data.tobytes()
+
+    def test_workspace_lives_for_one_call(self, monkeypatch):
+        made, workspace = [], M._workspace
+
+        def tracked(*args):
+            work = workspace(*args)
+            made.extend(weakref.ref(b) for b in work.values())
+            return work
+
+        monkeypatch.setattr(M, "_workspace", tracked)
+        m = small_model()
+        x = np.random.default_rng(7).uniform(0.0, 1.0, size=(2 * M.CHUNK_ROWS + 17, 5))
+        keys = set(vars(m))
+        assert len(list(m.forward_chunks(x))) == 3
+        chunks = m.forward_chunks(x)
+        next(chunks)
+        assert set(vars(m)) == keys and any(ref() is not None for ref in made)
+        chunks.close()
+        assert set(vars(m)) == keys
+        assert made and all(ref() is None for ref in made)
 
 
 class TestParameterCount:
@@ -330,3 +376,40 @@ class TestCheckpoint:
         M.save(m, p1, metadata={"k": 1})
         M.save(m, p2, metadata={"k": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestWeightStorage:
+    # sha256 of every weight but a_log and dt_proj.b (which pass through
+    # log/exp), drawn before the loaders stopped constructing through __init__.
+    @pytest.mark.parametrize("config,seed,digest", [
+        (ModelConfig(n_features=12), 0,
+         "4b78ead13f7a7c9760cc082c4eb146e748581cf545505d81bfaadbad158dc757"),
+        (ModelConfig(n_features=5, embed_dim=8, state_size=4, n_blocks=3, head="reconstruction"),
+         7, "6f8b4d26513c550e4499b256083f65f974f6732634c4dfe9407b6861ee329b6b"),
+    ])
+    def test_seeded_construction_draws_the_same_weights(self, config, seed, digest):
+        h = hashlib.sha256()
+        for name, p in MambaTabModel(config, rng=seed).named_parameters():
+            if not name.endswith(("ssm.a_log", "ssm.dt_proj.b")):
+                h.update(p.data.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_load_transfer_and_swap_draw_nothing(self, tmp_path, monkeypatch):
+        m = small_model(seed=2, n_blocks=2)
+        M.save(m, tmp_path / "m.ckpt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a full set of weights")
+
+        monkeypatch.setattr(MambaTabModel, "__init__", refuse)
+        loaded = M.load(tmp_path / "m.ckpt")
+        grown = M.transfer_weights(m, replace(m.config, n_features=7), [6, 0, 1, 2, 3])
+        swapped = M.swap_head(m, "reconstruction", rng=4)
+        assert loaded.flat.tobytes() == m.flat.tobytes()
+        assert np.array_equal(grown.embed_w.data[[6, 0, 1, 2, 3]], m.embed_w.data)
+        assert not grown.embed_w.data[[4, 5]].any()
+        for model in (loaded, grown, swapped):
+            assert list(model.config.layout()) == [(n, p.shape) for n, p in model.named_parameters()]
+            assert all(np.shares_memory(p.data, model.flat) for _, p in model.named_parameters())
+            model.flat[-1] = 0.5   # writable, and the head bias sees it
+            assert model.head_b.data[-1] == 0.5

@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mambatab"
-ALLOWED = {"tensor.py:Tensor.__init__", "tensor.py:_make", "model.py:MambaTabModel.__init__"}
+ALLOWED = {"tensor.py:Tensor.__init__", "tensor.py:_make"}
 
 
 def data_rebinds(source: str, filename: str) -> list[tuple[str, int]]:
