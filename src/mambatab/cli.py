@@ -292,7 +292,7 @@ def cmd_eval(checkpoint_path: str, dataset: str, schema_path: str,
         raise SchemaError(f"{whose} {table.n_rows} data rows; evaluation splits need at "
                           f"least {tabular.MIN_ROWS}")
     _check_test_classes(table, meta["split_seed"], f"{whose} the")
-    _, _, test_t = tabular.split(table, meta["split_seed"])
+    test_t = table.select_rows(tabular.split_rows(table.n_rows, meta["split_seed"])[2], "test")
     enc_test = tabular.transform(pre, test_t)
     if enc_test.n_features != model.config.n_features:
         raise SchemaError(

@@ -4,10 +4,12 @@ Everything here is independent of the library code paths it checks:
 finite-difference gradients, a per-element scan recurrence in plain
 Python loops, O(m^2) pairwise AUROC counting, 50-digit references for
 the zero-order-hold closed form and for the sigmoid and softplus, and a
-per-cell reference for the tabular preprocessing.
+row-by-row CSV reader and per-cell reference for the tabular preprocessing.
 """
 
 from __future__ import annotations
+
+import csv
 
 import mpmath
 import numpy as np
@@ -134,6 +136,25 @@ def ulp_error(got: float, exact: mpmath.mpf) -> float:
 
 
 # -- per-cell reference preprocessing -----------------------------------------
+def reference_load_csv(path, label_column: str, positive_label: str):
+    """Feature names, per-column cells and labels of a well-formed CSV, one row at a time.
+
+    Blank lines are skipped, cells stripped, '' and '?' become None.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header = [h.strip() for h in rows[0]]
+    label_idx = header.index(label_column)
+    columns: list[list] = [[] for _ in range(len(header) - 1)]
+    labels = []
+    for row in rows[1:]:
+        cells = [c.strip() for c in row]
+        labels.append(1 if cells[label_idx] == positive_label else 0)
+        for col, cell in zip(columns, cells[:label_idx] + cells[label_idx + 1:]):
+            col.append(None if cell in ("", "?") else cell)
+    return header[:label_idx] + header[label_idx + 1:], columns, labels
+
+
 # The earlier per-cell implementation of tabular.infer_column_kinds / fit /
 # transform: every cell goes through float() on each pass, with no caching.
 # It accepts inf/nan as numbers, so compare only finite tables against it.
@@ -218,7 +239,8 @@ def reference_transform(pre: Preprocessor, table) -> EncodedMatrix:
                 raise SchemaError(f"column '{name}' has non-numeric cells at transform time")
             codes = np.array(parsed, dtype=np.float64)
         if hi > lo:
-            out[:, j] = np.clip((codes - lo) / (hi - lo), 0.0, 1.0)
+            with np.errstate(over="ignore"):
+                out[:, j] = np.clip((codes - lo) / (hi - lo), 0.0, 1.0)
         else:
             out[:, j] = 0.0
     return EncodedMatrix(out, table.labels.copy(), list(table.column_names), table.split)
