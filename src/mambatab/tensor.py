@@ -2,9 +2,20 @@
 
 Deliberately small: row-major numpy storage, the operations a gated
 state-space network needs, and a recorded graph that ``backward()``
-walks exactly once in reverse topological order. Every operation
-checks its output for NaN/Inf and raises :class:`NumericsError`
-instead of letting bad values propagate into the optimizer.
+walks exactly once in reverse topological order. Every new tensor, and
+every operation's output, is checked for NaN/Inf, and a failed check
+raises :class:`NumericsError` instead of letting bad values propagate
+into the optimizer.
+
+One rule skips a check that cannot fail. ``reshape``, ``getitem``,
+``relu``, ``silu`` and ``softplus`` map a finite input to a finite output,
+so their output is not checked when their one input is itself an op's
+output (a non-leaf): that input passed a check, or came finite through
+these five ops, and the program never writes into an op's output while
+its graph is in use. A leaf input is still checked, because its array may
+have been written in place since it was made, as Adam writes the
+parameters. So ``NumericsError`` is raised on exactly the same inputs, at
+the same op and with the same message, as if every output were checked.
 
 The arithmetic operators take a Tensor on the left (``t + 1.0``, not
 ``1.0 + t``), and ``getitem`` takes basic indices only: ints, slices,
@@ -29,7 +40,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NumericsError("tensor created with non-finite values")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -122,26 +133,38 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# The module docstring's check rule. These ops map finite to finite: views,
+# relu, silu (|x * sigmoid(x)| <= |x|) and softplus (at most x + log 2, and
+# DBL_MAX + log 2 rounds to DBL_MAX). So with a non-leaf input, which is
+# finite, their output cannot fail the check; a leaf may have been written
+# in place since its own check.
+_FINITE_MAPS = frozenset({"reshape", "getitem", "relu", "silu", "softplus"})
+
+
 def _make(data: np.ndarray, parents: tuple, grad_fn, op: str) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if ((op not in _FINITE_MAPS or parents[0]._op == "leaf")
+            and not np.isfinite(data).all()):
         raise NumericsError(f"non-finite values produced by '{op}'")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._op = op
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._grad_fn = grad_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._grad_fn = None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._grad_fn = grad_fn
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._grad_fn = None
     return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to ``shape`` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, n in enumerate(shape):

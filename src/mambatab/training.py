@@ -65,8 +65,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
 
 
 @dataclass
@@ -107,6 +107,14 @@ class AdamState:
     m: np.ndarray   # first and second moments of every parameter, concatenated
     v: np.ndarray
     step: int = 0
+    # adam_step's workspace, as long as m: the concatenated gradient and two
+    # temporaries, made once so that a step allocates nothing parameter-sized
+    g: np.ndarray = field(init=False, repr=False, compare=False)
+    tmp: np.ndarray = field(init=False, repr=False, compare=False)
+    tmp2: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.g, self.tmp, self.tmp2 = (np.empty_like(self.m) for _ in range(3))
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
@@ -116,18 +124,26 @@ class AdamState:
 
 def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
     """One bias-corrected update, in place. A missing grad counts as zero, so a
-    parameter that never gets one keeps zero moments and stays put."""
+    parameter that never gets one keeps zero moments and stays put.
+
+    Every intermediate goes into ``state``'s workspace with ``out=``, in the
+    order of the plain expressions ``m += (1 - b1) * g``,
+    ``v += (1 - b2) * g * g`` and ``lr * m_hat / (sqrt(v_hat) + eps)``, so
+    the update is bit-identical to them.
+    """
     state.step += 1
     t = state.step
-    g = np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.ravel() for p in params])
-    m, v = state.m, state.v
+    g, m, v, a, b = state.g, state.m, state.v, state.tmp, state.tmp2
+    for p, end in zip(params, itertools.accumulate(p.size for p in params)):
+        g[end - p.size:end] = 0.0 if p.grad is None else p.grad.reshape(-1)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=a), g, out=a)
+    m_hat = np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a)
+    v_hat = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=b)
+    update = np.divide(np.multiply(lr, m_hat, out=a),
+                       np.add(np.sqrt(v_hat, out=b), ADAM_EPS, out=b), out=a)
     for p, end in zip(params, itertools.accumulate(p.size for p in params)):
         p.data[...] -= update[end - p.size:end].reshape(p.shape)
 

@@ -760,6 +760,22 @@ class TestRunSpecChecks:
         assert f"seeds must be non-negative, got {negative}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("lr_args,config,shown", [
+        (["--lr", "nan"], "", "nan"),
+        (["--lr", "inf"], "", "inf"),
+        (["--lr=-inf"], "", "-inf"),
+        ([], "lr = nan\n", "nan"),
+    ])
+    def test_non_finite_lr_exits_one(self, dataset, tmp_path, capsys, lr_args, config, shown):
+        # Without the check, training ran and ended in a numeric failure (exit 2).
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{config}embed_dim = 4\nstate_size = 2\nmax_epochs = 1\n")
+        code = self.run(dataset, tmp_path / "run", "train", "--config", str(cfg),
+                        "--seeds", "0", *lr_args)
+        assert code == EXIT_USAGE
+        assert f"lr must be a finite number > 0, got {shown}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_repeated_sweep_values_exit_one(self, dataset, tmp_path, capsys):
         code = self.run(dataset, tmp_path / "sweep", "sweep", "--knob", "state-size",
                         "--values", "4,8,4", "--seeds", "0", "--embed-dim", "8",

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mambatab import tensor as T
 from mambatab.tensor import NumericsError, Tensor
@@ -312,3 +313,54 @@ class TestGradients:
         w = Tensor(np.array([2.0, -1.0]), requires_grad=True)
         num = finite_difference_grad(lambda: float((w.data ** 2).sum()), w)
         assert relative_error(num, 2.0 * w.data) < 1e-8
+
+
+DBL_MAX = float(np.finfo(np.float64).max)
+
+# The ops whose output _make leaves unchecked when their one input is a non-leaf.
+FINITE_MAPS = {
+    "reshape": lambda t: T.reshape(t, (-1,)),
+    "getitem": lambda t: t[:, ::2],
+    "relu": T.relu,
+    "silu": T.silu,
+    "softplus": T.softplus,
+}
+
+
+class TestCheckRule:
+    """A skipped check could not have failed: leaf inputs are still checked,
+    and a finite non-leaf input maps to a finite output."""
+
+    def test_rule_names_these_ops(self):
+        assert T._FINITE_MAPS == set(FINITE_MAPS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("op", sorted(FINITE_MAPS))
+    def test_leaf_written_after_its_check_is_checked(self, op, bad):
+        leaf = Tensor(np.linspace(-2.0, 2.0, 12).reshape(3, 4), requires_grad=True)
+        leaf.data[1, 2] = bad    # written in place after creation, as adam_step writes
+        with np.errstate(invalid="ignore"):
+            if bad == -np.inf and op in ("relu", "softplus"):
+                # both map -inf to 0, which the output check passes, as it always has
+                out = FINITE_MAPS[op](leaf)
+                assert out.data[1, 2] == 0.0 and np.isfinite(out.data).all()
+                return
+            with pytest.raises(NumericsError,
+                               match=re.escape(f"non-finite values produced by '{op}'")):
+                FINITE_MAPS[op](leaf)
+
+    @pytest.mark.parametrize("op", sorted(FINITE_MAPS))
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=24))
+    @example(values=[DBL_MAX])
+    @example(values=[-DBL_MAX])
+    @example(values=[5e-324])
+    @example(values=[-5e-324])
+    @example(values=[0.0])
+    @example(values=[-0.0])
+    @example(values=[DBL_MAX, -DBL_MAX, 5e-324, -5e-324, 0.0, -0.0])
+    def test_finite_non_leaf_maps_to_finite(self, op, values):
+        x = T.reshape(Tensor(values), (1, -1))
+        assert x._op != "leaf"
+        assert np.isfinite(FINITE_MAPS[op](x).data).all()

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -69,8 +71,45 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
+    @staticmethod
+    def default_model_with_grads(seed):
+        """A seeded default model whose gradients span several magnitudes,
+        with ``a_log``'s left ``None`` as in training."""
+        model = MambaTabModel(ModelConfig(n_features=12), rng=0)
+        named = model.named_parameters()
+        rng = np.random.default_rng(seed)
+        for name, p in named:
+            scale = 10.0 ** rng.integers(-6, 3)
+            p.grad = None if name.endswith("a_log") else rng.normal(0.0, scale, p.shape)
+        return model, [p for _, p in named]
 
-@pytest.mark.parametrize("field,value", [("patience", 0), ("lr", 0.0), ("lr", -1e-3)])
+    def test_arithmetic_is_pinned(self):
+        # The digest was computed with adam_step written as plain numpy
+        # expressions; reordering any of its float operations changes it.
+        model, params = self.default_model_with_grads(21)
+        assert any(p.grad is None for p in params)
+        state = AdamState.for_params(params)
+        for lr in (1e-2, 1e-2, 3e-4, 3e-4, 3e-4):
+            adam_step(params, state, lr)
+        assert state.step == 5
+        digest = hashlib.sha256(model.flat.tobytes()).hexdigest()
+        assert digest == "4c6f1c5b3e73c81df4ab3f0b083cffb20d7da45e2364e3cce691389585f82710"
+
+    def test_step_makes_no_parameter_sized_temporaries(self):
+        model, params = self.default_model_with_grads(22)
+        state = AdamState.for_params(params)
+        adam_step(params, state, 1e-3)   # warm-up
+        tracemalloc.start()
+        try:
+            adam_step(params, state, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * model.flat.nbytes
+
+
+@pytest.mark.parametrize("field,value", [("patience", 0), ("lr", 0.0), ("lr", -1e-3),
+                                         ("lr", math.nan), ("lr", math.inf)])
 def test_train_config_rejects_bad_value(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})

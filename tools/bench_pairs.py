@@ -15,8 +15,12 @@ Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 is even. Every run prints one line: ``ref_rows_per_s``, the unscaled rows/s
 and the machine speed median that scales it, then ``setup_s`` and
 ``peak_rss_mb``. At the end each side's medians are printed, with the
-quartiles where a side has 4 runs or more, and the number of pairs in
-which the change has the higher ``ref_rows_per_s``.
+quartiles where a side has 4 runs or more; then the change's median over
+the parent's for the scaled and the unscaled rate beside both sides'
+machine speed medians, since the probe can read the program's heap state
+as machine speed; then the number of pairs in which the change wins on
+``ref_rows_per_s`` and ``unscaled_rows_per_s`` (higher) and on
+``setup_s`` and ``peak_rss_mb`` (lower).
 
 The record goes to ``BENCH_<label>.json`` at the root of this checkout and
 is rewritten after every pair. Runs accumulate across calls under the key
@@ -39,6 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("ref_rows_per_s", "unscaled_rows_per_s", "machine_speed", "setup_s", "peak_rss_mb")
+# Metrics the change wins a pair on: +1 where higher is better, -1 where lower is.
+WINS = {"ref_rows_per_s": 1, "unscaled_rows_per_s": 1, "setup_s": -1, "peak_rss_mb": -1}
 UNSCALED = re.compile(r"rows_per_s unscaled over \d+ repeats: median ([0-9.e+-]+),.*"
                       r"machine speed median ([0-9.e+-]+)")
 
@@ -104,9 +110,10 @@ def summarize(entry: dict) -> str:
     return them as text."""
     parent, change = entry["parent"]["runs"], entry["change"]["runs"]
     nan = float("nan")   # a run that failed has no metrics and wins nothing
-    wins = sum(c.get("ref_rows_per_s", nan) > p.get("ref_rows_per_s", nan)
-               for p, c in zip(parent, change))
-    entry["change_wins_ref_rows_per_s"] = f"{wins} of {min(len(parent), len(change))}"
+    for name, sign in WINS.items():
+        wins = sum(sign * c.get(name, nan) > sign * p.get(name, nan)
+                   for p, c in zip(parent, change))
+        entry[f"change_wins_{name}"] = f"{wins} of {min(len(parent), len(change))}"
     lines = []
     for side in ("parent", "change"):
         stats = entry[side] | side_stats(entry[side]["runs"])
@@ -117,7 +124,17 @@ def summarize(entry: dict) -> str:
             text += " (ref_rows_per_s quartiles {:.6g}-{:.6g})".format(
                 quart["ref_rows_per_s"][0], quart["ref_rows_per_s"][2])
         lines.append(f"  {side} median over {len(stats['runs'])} runs: {text}")
-    lines.append(f"  change ahead in {entry['change_wins_ref_rows_per_s']} pairs")
+    # The probe that scales ref_rows_per_s can read the program's heap state as
+    # machine speed, so a claim shows the unscaled rate and both probe medians too.
+    med_p, med_c = entry["parent"]["median"], entry["change"]["median"]
+    ratios = [f"{name} {med_c[name] / med_p[name]:.4g}x"
+              for name in ("ref_rows_per_s", "unscaled_rows_per_s") if name in med_p and name in med_c]
+    speeds = [f"{side} {med['machine_speed']:.4g}"
+              for side, med in (("parent", med_p), ("change", med_c)) if "machine_speed" in med]
+    lines.append(f"  change/parent medians: {', '.join(ratios)}; machine speed {', '.join(speeds)}")
+    lines.append("  change wins in pairs: " + ", ".join(
+        f"{name} {entry[f'change_wins_{name}']} ({'higher' if sign > 0 else 'lower'})"
+        for name, sign in WINS.items()))
     return "\n".join(lines)
 
 
