@@ -8,11 +8,11 @@ worst case for a model stuck with the stage-1 schema.
 Run: python3 demos/05_incremental_features.py
 """
 
-import numpy as np
-
 from mambatab import metrics, synthetic, tabular
 from mambatab.model import MambaTabModel, ModelConfig
-from mambatab.training import Stage, TrainConfig, train_incremental, train_supervised
+from mambatab.training import (
+    TrainConfig, incremental_stages, train_incremental, train_supervised,
+)
 
 plan = tabular.make_incremental_plan(n_features=9, seed=3)
 print(f"column groups: s1={sorted(plan.s1)} s2={sorted(plan.s2)} s3={sorted(plan.s3)}")
@@ -23,16 +23,8 @@ train_t, val_t, test_t = tabular.split(table, seed=0)
 pre = tabular.fit(train_t)
 
 # each stage sees its own third of the rows and its cumulative columns
-tr_chunks = np.array_split(np.arange(train_t.n_rows), 3)
-va_chunks = np.array_split(np.arange(val_t.n_rows), 3)
-stages = [
-    Stage(
-        train=tabular.transform(pre, train_t.select_rows(tr_chunks[i]).select_columns(cols)),
-        val=tabular.transform(pre, val_t.select_rows(va_chunks[i]).select_columns(cols)),
-        columns=cols,
-    )
-    for i, cols in enumerate(plan.cumulative())
-]
+stages = incremental_stages(tabular.transform(pre, train_t), tabular.transform(pre, val_t),
+                            plan.cumulative())
 for i, st in enumerate(stages, 1):
     print(f"stage {i}: {st.train.n_rows} train rows, {len(st.columns)} columns")
 
@@ -47,9 +39,11 @@ auc_inc = metrics.auroc(final.predict_proba(test_full.values), test_full.labels)
 
 # baseline: a model that can only ever use the stage-1 columns
 s1_model, _ = train_supervised(
-    MambaTabModel(ModelConfig(n_features=len(plan.set1), embed_dim=16, state_size=8), rng=0),
+    MambaTabModel(ModelConfig(n_features=len(stages[0].columns), embed_dim=16, state_size=8),
+                  rng=0),
     stages[0].train, stages[0].val, cfg)
-auc_s1 = metrics.auroc(s1_model.predict_proba(test_full.values[:, plan.set1]), test_full.labels)
+auc_s1 = metrics.auroc(s1_model.predict_proba(test_full.values[:, stages[0].columns]),
+                       test_full.labels)
 
 print(f"\ntest AUROC, stage-1 columns only: {auc_s1:.3f}  (signal arrives later)")
 print(f"test AUROC, incremental to all:   {auc_inc:.3f}")

@@ -26,7 +26,7 @@ from . import metrics, model as model_mod, tabular, training
 from .model import MambaTabModel, ModelConfig
 from .tabular import SchemaConfig, SchemaError, Table
 from .tensor import NumericsError
-from .training import Stage, TrainConfig, child_seed
+from .training import TrainConfig, child_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,9 +122,8 @@ def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -
     }
 
     enc_test = tabular.transform(pre, test_t)
-    if spec.regime != "incremental":
-        enc_train = tabular.transform(pre, train_t)
-        enc_val = tabular.transform(pre, val_t)
+    enc_train = tabular.transform(pre, train_t)
+    enc_val = tabular.transform(pre, val_t)
     payload = {"report": None, "stage_reports": None, "pretrain_report": None}
 
     if spec.regime == "supervised":
@@ -141,15 +140,7 @@ def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -
     else:  # incremental
         plan_seed = child_seed(seed, training.STREAM_PLAN)
         plan = tabular.make_incremental_plan(table.n_features, plan_seed)
-        tr_chunks = np.array_split(np.arange(train_t.n_rows), 3)
-        va_chunks = np.array_split(np.arange(val_t.n_rows), 3)
-        stages = []
-        for i, cols in enumerate(plan.cumulative()):
-            stages.append(Stage(
-                train=tabular.transform(pre, train_t.select_rows(tr_chunks[i]).select_columns(cols)),
-                val=tabular.transform(pre, val_t.select_rows(va_chunks[i]).select_columns(cols)),
-                columns=cols,
-            ))
+        stages = training.incremental_stages(enc_train, enc_val, plan.cumulative())
         best, stage_reports = training.train_incremental(
             stages, spec.model_config(table.n_features), cfg, init_rng=init_seed)
         payload["stage_reports"] = [asdict(r) for r in stage_reports]
@@ -442,7 +433,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:   # UsageError, SchemaError, CheckpointError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericsError, ArithmeticError) as e:
+    except NumericsError as e:   # any other exception is a bug: let it trace back
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -97,15 +97,13 @@ class ModelConfig:
 class MambaTabModel:
     def __init__(self, config: ModelConfig, rng: np.random.Generator | int = 0):
         rng = np.random.default_rng(rng)
-        d = config.embed_dim
-        embed_w = ssm.uniform_init(rng, config.n_features, (config.n_features, d))
-        blocks = [ssm.init_mamba_block(d, config.expand, config.state_size, config.d_conv, rng)
-                  for _ in range(config.n_blocks)]
-        head_w, head_b = _init_head(config, rng)
-        weights = [embed_w.data, np.zeros(d), np.ones(d), np.zeros(d),
-                   *(p.data for block in blocks for _, p in block.named_parameters()),
-                   head_w.data, head_b.data]
-        self._bind(config, np.concatenate([w.ravel() for w in weights]))
+        self._bind(config, np.zeros(config.param_count))
+        # Draw order, as in every saved model: embedding, each block, head.
+        self.embed_w.data[...] = ssm.uniform_init(rng, config.n_features, self.embed_w.shape)
+        self.ln_gamma.data[...] = 1.0
+        for block in self.blocks:
+            ssm.draw_block(block, rng)
+        self.head_w.data[...] = ssm.uniform_init(rng, config.embed_dim, self.head_w.shape)
 
     @classmethod
     def _from_flat(cls, config: ModelConfig, flat: np.ndarray) -> "MambaTabModel":
@@ -118,10 +116,12 @@ class MambaTabModel:
         # Every weight lives in one float64 vector in layout order; each
         # parameter's data is a view into it, written in place, never rebound.
         self.config, self.flat = config, flat
-        shapes = [shape for _, shape in config.layout()]
-        ends = itertools.accumulate(math.prod(shape) for shape in shapes)
-        params = [Tensor(flat[end - math.prod(shape):end].reshape(shape), requires_grad=True)
-                  for shape, end in zip(shapes, ends)]
+        layout = list(config.layout())
+        ends = itertools.accumulate(math.prod(shape) for _, shape in layout)
+        self._named = [(name, Tensor(flat[end - math.prod(shape):end].reshape(shape),
+                                     requires_grad=True))
+                       for (name, shape), end in zip(layout, ends)]
+        params = [p for _, p in self._named]
         self.embed_w, self.embed_b, self.ln_gamma, self.ln_beta = params[:4]
         k = len(ssm.BLOCK_NAMES)
         self.blocks = [ssm.MambaBlockParams(*params[4 + i * k:4 + (i + 1) * k])
@@ -130,13 +130,10 @@ class MambaTabModel:
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """(checkpoint name, tensor) pairs in ``config.layout()`` order."""
-        tensors = [self.embed_w, self.embed_b, self.ln_gamma, self.ln_beta,
-                   *(p for block in self.blocks for _, p in block.named_parameters()),
-                   self.head_w, self.head_b]
-        return [(name, p) for (name, _), p in zip(self.config.layout(), tensors, strict=True)]
+        return list(self._named)
 
     def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
+        for _, p in self._named:
             p.zero_grad()
 
     def forward(self, x, *, graph: bool = True, _work: dict[str, np.ndarray] | None = None):
@@ -309,11 +306,6 @@ def _block_array(p: ssm.MambaBlockParams, buf: dict[str, np.ndarray]) -> bool:
     return finite
 
 
-def _init_head(config: ModelConfig, rng: np.random.Generator):
-    w = ssm.uniform_init(rng, config.embed_dim, (config.embed_dim, config.head_out))
-    return w, Tensor(np.zeros(config.head_out), requires_grad=True)
-
-
 def count_parameters(model: MambaTabModel) -> int:
     return model.flat.size
 
@@ -349,9 +341,8 @@ def swap_head(model: MambaTabModel, head: str, rng: np.random.Generator | int) -
     new = MambaTabModel._from_flat(config, np.zeros(config.param_count))
     body = model.flat.size - model.head_w.size - model.head_b.size   # the head ends the layout
     new.flat[:body] = model.flat[:body]
-    new_w, new_b = _init_head(config, np.random.default_rng(rng))
-    new.head_w.data[:] = new_w.data
-    new.head_b.data[:] = new_b.data
+    new.head_w.data[...] = ssm.uniform_init(np.random.default_rng(rng), config.embed_dim,
+                                            new.head_w.shape)
     return new
 
 

@@ -88,39 +88,36 @@ class MambaBlockParams:
         return [(name, getattr(self, f.name)) for name, f in zip(BLOCK_NAMES, fields(self))]
 
 
-def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
+def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     """A weight drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)): every block,
     embedding and head weight of the model starts this way."""
     bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def draw_block(p: MambaBlockParams, rng: np.random.Generator) -> None:
+    """Draw a block's initial weights into its tensors, in place; the three
+    biases it does not write keep their zeros."""
+    # Draw order, as in every saved model: in_proj, conv, dt, x_proj, dt_proj, out_proj.
+    p.in_proj_w.data[...] = uniform_init(rng, p.in_proj_w.shape[0], p.in_proj_w.shape)
+    p.conv_kernel.data[...] = uniform_init(rng, p.conv_kernel.shape[1], p.conv_kernel.shape)
+    # Step sizes start in [1e-3, 1e-1]: softplus(dt_proj_b) == dt exactly
+    # because the bias is the softplus inverse of the sampled dt.
+    dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=p.dt_proj_b.shape))
+    p.dt_proj_b.data[...] = dt + np.log(-np.expm1(-dt))
+    # A[d, n] = -(n+1): distinct stable decay rates per state coordinate.
+    p.a_log.data[...] = np.log(np.arange(1, p.a_log.shape[1] + 1, dtype=np.float64))
+    p.d_skip.data[...] = 1.0
+    for w in (p.x_proj_w, p.dt_proj_w, p.out_proj_w):   # each is [fan_in, fan_out]
+        w.data[...] = uniform_init(rng, w.shape[0], w.shape)
 
 
 def init_mamba_block(embed_dim: int, expand: int, state_size: int, d_conv: int,
                      rng: np.random.Generator) -> MambaBlockParams:
-    d_inner, dt_rank = expand * embed_dim, dt_rank_for(embed_dim)
-    shape = dict(zip((f.name for f in fields(MambaBlockParams)),
-                     block_shapes(embed_dim, expand, state_size, d_conv, dt_rank)))
-    # Draw order, as in every saved model: in_proj, conv, dt, x_proj, dt_proj, out_proj.
-    in_proj_w = uniform_init(rng, embed_dim, shape["in_proj_w"])
-    conv_kernel = uniform_init(rng, d_conv, shape["conv_kernel"])
-    # Step sizes start in [1e-3, 1e-1]: softplus(dt_proj_b) == dt exactly
-    # because the bias is the softplus inverse of the sampled dt.
-    dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=shape["dt_proj_b"]))
-    # A[d, n] = -(n+1): distinct stable decay rates per state coordinate.
-    a = np.broadcast_to(np.arange(1, state_size + 1, dtype=np.float64), shape["a_log"])
-    return MambaBlockParams(
-        in_proj_w=in_proj_w,
-        in_proj_b=Tensor(np.zeros(shape["in_proj_b"]), requires_grad=True),
-        conv_kernel=conv_kernel,
-        conv_bias=Tensor(np.zeros(shape["conv_bias"]), requires_grad=True),
-        a_log=Tensor(np.log(a), requires_grad=True),
-        d_skip=Tensor(np.ones(shape["d_skip"]), requires_grad=True),
-        x_proj_w=uniform_init(rng, d_inner, shape["x_proj_w"]),
-        dt_proj_w=uniform_init(rng, dt_rank, shape["dt_proj_w"]),
-        dt_proj_b=Tensor(dt + np.log(-np.expm1(-dt)), requires_grad=True),
-        out_proj_w=uniform_init(rng, d_inner, shape["out_proj_w"]),
-        out_proj_b=Tensor(np.zeros(shape["out_proj_b"]), requires_grad=True),
-    )
+    shapes = block_shapes(embed_dim, expand, state_size, d_conv, dt_rank_for(embed_dim))
+    params = MambaBlockParams(*(Tensor(np.zeros(shape), requires_grad=True) for shape in shapes))
+    draw_block(params, rng)
+    return params
 
 
 def block_param_count(embed_dim: int, expand: int, state_size: int,

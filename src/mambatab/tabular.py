@@ -151,14 +151,6 @@ class Table:
             split=split or self.split,
         )
 
-    def select_columns(self, indices) -> "Table":
-        return Table(   # a fresh Table: parses are keyed by column position
-            column_names=[self.column_names[j] for j in indices],
-            columns=[self.columns[j] for j in indices],
-            labels=self.labels,
-            split=self.split,
-        )
-
 
 def load_csv(path, schema: SchemaConfig) -> Table:
     """Read a comma-separated file with a header row into a Table.
@@ -363,23 +355,20 @@ def fit(table: Table, overrides: dict[str, str] | None = None) -> Preprocessor:
 
 
 def transform(pre: Preprocessor, table: Table) -> EncodedMatrix:
-    """Encode and scale a table with fitted state.
+    """Encode and scale a table with fitted state, cell by cell.
 
-    The table's columns may be any subset of the fitted schema (the
-    feature-incremental path uses this); unknown names are an error.
+    The table must hold exactly the fitted columns, in the fitted order.
     Unseen categories map to the training mode's index, out-of-range
     numericals clip to [0, 1], and constant columns scale to 0.
     """
+    if table.column_names != pre.column_names:
+        raise SchemaError(f"table columns {table.column_names} differ from the fitted "
+                          f"columns {pre.column_names}")
     m = table.n_rows
     out = np.zeros((m, table.n_features), dtype=np.float64)
-    for j, (name, col) in enumerate(zip(table.column_names, table.columns)):
-        if name not in pre.column_names:
-            raise SchemaError(f"column '{name}' was not present at fit time")
-        k = pre.column_names.index(name)
-        kind, mode = pre.kinds[k], pre.modes[k]
-        lo, hi = pre.mins[k], pre.maxs[k]
+    for j, (kind, cats, mode, lo, hi, col) in enumerate(zip(
+            pre.kinds, pre.categories, pre.modes, pre.mins, pre.maxs, table.columns)):
         if kind == "categorical":
-            cats = pre.categories[k]
             index = {c: i for i, c in enumerate(cats)}
             mode_idx = index[mode]
             codes = np.array(
@@ -430,20 +419,9 @@ class FeatureSubsetPlan:
     s2: list[int]
     s3: list[int]
 
-    @property
-    def set1(self) -> list[int]:
-        return sorted(self.s1)
-
-    @property
-    def set2(self) -> list[int]:
-        return sorted(self.s1 + self.s2)
-
-    @property
-    def set3(self) -> list[int]:
-        return sorted(self.s1 + self.s2 + self.s3)
-
     def cumulative(self) -> list[list[int]]:
-        return [self.set1, self.set2, self.set3]
+        """The sorted unions s1, s1 + s2 and s1 + s2 + s3: one column set per stage."""
+        return [sorted(self.s1), sorted(self.s1 + self.s2), sorted(self.s1 + self.s2 + self.s3)]
 
 
 def make_incremental_plan(n_features: int, seed: int) -> FeatureSubsetPlan:

@@ -267,7 +267,8 @@ def softplus(x: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
-    data = x.data * s
+    with np.errstate(over="ignore", invalid="ignore"):   # -inf * 0 is NaN, found by _make
+        data = x.data * s
     return _make(data, (x,),
                  lambda g: (g * s * (1.0 + x.data * (1.0 - s)),),
                  "silu")
@@ -355,11 +356,12 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     two results; ``out`` may be ``x`` itself, which is read before it is
     written. The values are the same either way.
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = np.multiply(np.subtract(x, mu, out=xhat), inv, out=xhat)
-    return np.add(np.multiply(gamma, xhat, out=out), beta, out=out), xhat, inv
+    with np.errstate(over="ignore", invalid="ignore"):   # callers check the output
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = np.multiply(np.subtract(x, mu, out=xhat), inv, out=xhat)
+        return np.add(np.multiply(gamma, xhat, out=out), beta, out=out), xhat, inv
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -313,6 +313,23 @@ class Stage:
     columns: list[int]   # original-table column indices, sorted
 
 
+def incremental_stages(train: EncodedMatrix, val: EncodedMatrix,
+                       column_sets: list[list[int]]) -> list[Stage]:
+    """One Stage per column set, holding those columns of its own consecutive
+    share of the encoded training and validation rows (``np.array_split``).
+
+    Encoding works cell by cell, so a slice of an encoded split equals the
+    encoding of the sliced table.
+    """
+    def part(enc: EncodedMatrix, rows: np.ndarray, cols: list[int]) -> EncodedMatrix:
+        return EncodedMatrix(enc.values[np.ix_(rows, cols)], enc.labels[rows],
+                             [enc.column_names[j] for j in cols], enc.split)
+
+    shares = [np.array_split(np.arange(enc.n_rows), len(column_sets)) for enc in (train, val)]
+    return [Stage(part(train, tr, cols), part(val, va, cols), cols)
+            for cols, tr, va in zip(column_sets, *shares)]
+
+
 def stage_seed(root_seed: int, stage_index: int) -> int:
     return child_seed(root_seed, _STREAM_STAGE, stage_index)
 

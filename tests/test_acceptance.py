@@ -19,7 +19,7 @@ from mambatab.cli import RunSpec, cmd_train, run_one_seed
 from mambatab.model import MambaTabModel, ModelConfig, count_parameters, transfer_weights
 from mambatab.tabular import SchemaConfig
 from mambatab.tensor import Tensor
-from mambatab.training import Stage, TrainConfig, train_incremental, train_supervised
+from mambatab.training import TrainConfig, train_incremental, train_supervised
 
 from helpers import (
     check_gradients, mp_discretize, naive_selective_scan, pairwise_auroc,
@@ -212,14 +212,8 @@ def test_criterion_8_incremental_learning():
     table = synthetic.staged_signal_table(900, 9, sorted(plan.s3), seed=11)
     tr, va, te = tabular.split(table, seed=0)
     pre = tabular.fit(tr)
-    tr_chunks = np.array_split(np.arange(tr.n_rows), 3)
-    va_chunks = np.array_split(np.arange(va.n_rows), 3)
-    stages = [
-        Stage(train=tabular.transform(pre, tr.select_rows(tr_chunks[i]).select_columns(cols)),
-              val=tabular.transform(pre, va.select_rows(va_chunks[i]).select_columns(cols)),
-              columns=cols)
-        for i, cols in enumerate(plan.cumulative())
-    ]
+    stages = training.incremental_stages(tabular.transform(pre, tr), tabular.transform(pre, va),
+                                         plan.cumulative())
     test_full = tabular.transform(pre, te)
     base = ModelConfig(n_features=9)
     cfg = TrainConfig(seed=2)
@@ -227,9 +221,9 @@ def test_criterion_8_incremental_learning():
     assert len(reports) == 3
 
     stage1_model, _ = train_supervised(
-        MambaTabModel(replace(base, n_features=len(plan.set1)), rng=0),
+        MambaTabModel(replace(base, n_features=len(stages[0].columns)), rng=0),
         stages[0].train, stages[0].val, cfg)
-    test_s1 = test_full.values[:, plan.set1]
+    test_s1 = test_full.values[:, stages[0].columns]
     auc_final = metrics.auroc(final.predict_proba(test_full.values), test_full.labels)
     auc_s1 = metrics.auroc(stage1_model.predict_proba(test_s1), test_full.labels)
     assert auc_final >= auc_s1 + 0.10, (

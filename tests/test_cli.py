@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -937,6 +938,29 @@ class TestMainEntry:
                      "--out", str(tmp_path / "boom"), "--seeds", "0",
                      "--lr", "1e300", "--max-epochs", "3", "--quiet"])
         assert code == cli.EXIT_RUNTIME
+
+    def test_numeric_blowup_prints_one_line(self, dataset, tmp_path, capsys):
+        csv_path, schema_path = dataset
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--dataset", csv_path, "--schema", schema_path,
+                         "--out", str(tmp_path / "boom"), "--seeds", "0",
+                         "--lr", "1e300", "--max-epochs", "3", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RUNTIME
+        assert [str(w.message) for w in caught] == []
+        assert len(err.splitlines()) == 1 and err.startswith("numeric failure:"), err
+
+    def test_other_arithmetic_error_is_a_bug(self, dataset, tmp_path, monkeypatch):
+        csv_path, schema_path = dataset
+
+        def divide(*args, **kwargs):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setattr(cli, "run_one_seed", divide)
+        with pytest.raises(ZeroDivisionError, match="planted"):
+            main(["train", "--dataset", csv_path, "--schema", schema_path,
+                  "--out", str(tmp_path / "bug"), "--seeds", "0", "--quiet"])
 
     def test_unknown_regime_exits_one(self, dataset, tmp_path):
         csv_path, schema_path = dataset

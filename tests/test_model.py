@@ -378,9 +378,17 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def drawn_digest(named_parameters) -> str:
+    """sha256 of every weight but a_log and dt_proj.b, which pass through log/exp."""
+    h = hashlib.sha256()
+    for name, p in named_parameters:
+        if not name.endswith(("ssm.a_log", "ssm.dt_proj.b")):
+            h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
 class TestWeightStorage:
-    # sha256 of every weight but a_log and dt_proj.b (which pass through
-    # log/exp), drawn before the loaders stopped constructing through __init__.
+    # Digests drawn before the loaders stopped constructing through __init__.
     @pytest.mark.parametrize("config,seed,digest", [
         (ModelConfig(n_features=12), 0,
          "4b78ead13f7a7c9760cc082c4eb146e748581cf545505d81bfaadbad158dc757"),
@@ -388,11 +396,41 @@ class TestWeightStorage:
          7, "6f8b4d26513c550e4499b256083f65f974f6732634c4dfe9407b6861ee329b6b"),
     ])
     def test_seeded_construction_draws_the_same_weights(self, config, seed, digest):
-        h = hashlib.sha256()
-        for name, p in MambaTabModel(config, rng=seed).named_parameters():
-            if not name.endswith(("ssm.a_log", "ssm.dt_proj.b")):
-                h.update(p.data.tobytes())
-        assert h.hexdigest() == digest
+        assert drawn_digest(MambaTabModel(config, rng=seed).named_parameters()) == digest
+
+    # Digests drawn before weights were drawn in place into ``flat``, at sizes
+    # the parity gate does not train. swap_head draws from the same generator,
+    # so its head also pins how many numbers the model took.
+    @pytest.mark.parametrize("config,digest,head_digest", [
+        (ModelConfig(n_features=5, embed_dim=8, state_size=4, expand=3),
+         "9a509f113e47c638f11f757277bbcb32f30fb5b54226e4f7de0cf47049d1bea2",
+         "e3afc8db323629e26e4d4cfdfb88780853190a453a45f7a11e8f168702a7586d"),
+        (ModelConfig(n_features=7, embed_dim=20, state_size=3, d_conv=2, n_blocks=2,
+                     head="reconstruction"),
+         "21d02aebdb42f07543753c3b73affa4d71cd52d906387ef3bc303e7073450426",
+         "8f095bdd96c391c2644f6cb607238adf685a5250b33ce6a4ed57431980b70d27"),
+        (ModelConfig(n_features=3, embed_dim=17, state_size=5, n_blocks=3, use_layer_norm=False),
+         "cb3316dae412268188d0269c88bfeb3887dc693f250ce3f62a4cb6bdb34bdfbd",
+         "7f5260cf45060d42126544b8610c06ec65fee1dd473ad8e3abedaf9806fe2bbc"),
+        (ModelConfig(n_features=4, embed_dim=33, state_size=2, expand=3, d_conv=2, n_blocks=2,
+                     head="reconstruction", use_layer_norm=False),
+         "505502c7f8f4db62b276b5e2913581bf40a53f249521f90b3c4de69e3f8e0c91",
+         "6661f03105be58304540f51b567ee3d9ea27d2d613d7b60764aeb113b87904ed"),
+    ])
+    def test_draws_at_other_sizes_are_pinned(self, config, digest, head_digest):
+        rng = np.random.default_rng(3)
+        model = MambaTabModel(config, rng)
+        other = "classification" if config.head == "reconstruction" else "reconstruction"
+        swapped = M.swap_head(model, other, rng)
+        assert drawn_digest(model.named_parameters()) == digest
+        assert drawn_digest(swapped.named_parameters()[-2:]) == head_digest
+
+    def test_block_draw_is_pinned(self):
+        rng = np.random.default_rng(5)
+        block = ssm.init_mamba_block(6, 3, 5, 2, rng)
+        assert drawn_digest(block.named_parameters()) == (
+            "2fccfc921fd5059c7af6d85aaf765323f098779464f5c029ffadd7b67e46d65d")
+        assert rng.random() == 0.8036825182380202   # the block took exactly its own draws
 
     def test_load_transfer_and_swap_draw_nothing(self, tmp_path, monkeypatch):
         m = small_model(seed=2, n_blocks=2)

@@ -15,6 +15,8 @@ from mambatab.training import (
     pretrain_ssl, train_incremental, train_supervised,
 )
 
+from helpers import reference_transform
+
 
 def encoded(table, seed=0):
     tr, va, te = tabular.split(table, seed=seed)
@@ -257,7 +259,6 @@ class TestTrainSupervised:
         assert "epoch 1" in str(exc.value)
         assert isinstance(exc.value.report, training.TrainReport)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")   # layer norm's var
     def test_validation_failure_aborts_with_partial_report(self):
         # 105 training rows make one batch per epoch, so the first validation
         # runs right after the first lr=1e300 step.
@@ -403,19 +404,44 @@ class TestIncremental:
     def build_stages(table, plan, seed=0):
         tr, va, te = tabular.split(table, seed=seed)
         pre = tabular.fit(tr)
-        stages = []
-        cum = plan.cumulative()
-        tr_chunks = np.array_split(np.arange(tr.n_rows), 3)
-        va_chunks = np.array_split(np.arange(va.n_rows), 3)
-        for i, cols in enumerate(cum):
-            st = Stage(
-                train=tabular.transform(pre, tr.select_rows(tr_chunks[i]).select_columns(cols)),
-                val=tabular.transform(pre, va.select_rows(va_chunks[i]).select_columns(cols)),
-                columns=cols,
-            )
-            stages.append(st)
+        stages = training.incremental_stages(tabular.transform(pre, tr),
+                                             tabular.transform(pre, va), plan.cumulative())
         test_full = tabular.transform(pre, te)
         return stages, test_full
+
+    @pytest.mark.parametrize("column_sets", [[[2], [0, 2], [0, 1, 2, 3]],
+                                             [[1, 3], [0, 1, 2, 3]]])
+    def test_stages_equal_a_per_cell_reference(self, column_sets):
+        # number text, -0.0 beside 0, missing cells, categories unseen at fit
+        train = tabular.Table(["num", "zero", "cat", "int"], [
+            ["1.5", " 3 ", "-2e1", None, "0.25", "7", "1e1", "-0", "3", None, "2.5", "-1"],
+            ["0", "-0.0", "1.5", "0", None, "-0.0", "0.0", "2", "-0", "0", "1.5", "-0.0"],
+            ["red", "blue", None, "green", "red", "blue", "blue", None, "red", "green",
+             "red", " red"],
+            ["007", "3", "12", None, "3", "0", "5", "3", "8", "1", None, "4"],
+        ], np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0]), split="train")
+        val = tabular.Table(["num", "zero", "cat", "int"], [
+            ["-30", None, "0", "99", "-0.0", "2", "4"],
+            ["-0.0", "0", None, "5", "-1", "-0", "0.0"],
+            ["purple", "red", None, "green", "blue", "red", "?"],
+            ["3", "40", "-2", None, "007", "6", "3"],
+        ], np.array([1, 0, 0, 1, 1, 0, 1]), split="val")
+        pre = tabular.fit(train)
+        stages = training.incremental_stages(tabular.transform(pre, train),
+                                             tabular.transform(pre, val), column_sets)
+        assert [stage.columns for stage in stages] == column_sets
+        shares = [np.array_split(np.arange(t.n_rows), len(column_sets)) for t in (train, val)]
+        for stage, tr_rows, va_rows in zip(stages, *shares):
+            for got, table, rows in ((stage.train, train, tr_rows), (stage.val, val, va_rows)):
+                want = reference_transform(pre, tabular.Table(
+                    [table.column_names[j] for j in stage.columns],
+                    [[table.columns[j][i] for i in rows] for j in stage.columns],
+                    table.labels[rows], table.split))
+                assert got.values.flags.c_contiguous
+                assert np.array_equal(got.values, want.values)
+                assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+                assert np.array_equal(got.labels, want.labels)
+                assert got.column_names == want.column_names
 
     def test_single_stage_reduces_to_supervised(self):
         table = synthetic.logistic_table(150, 3, 1, seed=10)
@@ -440,11 +466,12 @@ class TestIncremental:
         assert len(reports) == 3
 
         stage1_only, _ = train_supervised(
-            MambaTabModel(ModelConfig(n_features=len(plan.set1), embed_dim=16, state_size=8), rng=0),
+            MambaTabModel(ModelConfig(n_features=len(stages[0].columns), embed_dim=16,
+                                      state_size=8), rng=0),
             stages[0].train, stages[0].val, tcfg)
         test_s1 = tabular.EncodedMatrix(
-            test_full.values[:, plan.set1], test_full.labels,
-            [test_full.column_names[j] for j in plan.set1])
+            test_full.values[:, stages[0].columns], test_full.labels,
+            [test_full.column_names[j] for j in stages[0].columns])
         auc_final = metrics.auroc(final.predict_proba(test_full.values), test_full.labels)
         auc_s1 = metrics.auroc(stage1_only.predict_proba(test_s1.values), test_s1.labels)
         assert auc_final >= auc_s1 + 0.10

@@ -15,7 +15,10 @@ schema, then runs through ``mambatab.cli.main``:
 - ``sweep --knob state-size --values 4,8 --seeds 0 --max-epochs 5`` into
   ``sweep/``;
 - ``train --seeds 0 --max-epochs 5`` on the mixed table into ``mixed/``,
-  whose checkpoint holds the fitted categories, modes and ranges.
+  whose checkpoint holds the fitted categories, modes and ranges;
+- ``train --regime incremental --seeds 0 --max-epochs 5`` on the mixed
+  table into ``mixed_inc/``, whose stages take columns of encoded splits
+  holding every kind of cell.
 
 It then prints ``sha256  path`` for every file under DIR except
 ``timing.json``, sorted by path. Progress goes to stderr. It exits with
@@ -78,6 +81,8 @@ def protocol(out: Path) -> list[list[str]]:
          "--seeds", "0", "--max-epochs", "5", "--quiet"],
         ["train", *mixed, "--out", str(out / "mixed"), "--seeds", "0", "--max-epochs", "5",
          "--quiet"],
+        ["train", *mixed, "--out", str(out / "mixed_inc"), "--regime", "incremental",
+         "--seeds", "0", "--max-epochs", "5", "--quiet"],
     ]
 
 
