@@ -20,7 +20,7 @@ from .tabular import (
     EncodedMatrix, FeatureSubsetPlan, Preprocessor, SchemaConfig, SchemaError,
     Table, fit, infer_column_kinds, load_csv, make_incremental_plan, split, transform,
 )
-from .tensor import NumericsError, Tensor
+from .tensor import InputError, NumericsError, Tensor
 from .training import (
     Stage, TrainConfig, TrainReport, adam_step, bce_with_logits, cosine_lr,
     finetune_after_ssl, pretrain_ssl, train_incremental, train_supervised,

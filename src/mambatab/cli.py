@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics, model as model_mod, tabular, training
 from .model import MambaTabModel, ModelConfig
 from .tabular import SchemaConfig, SchemaError, Table
-from .tensor import NumericsError
+from .tensor import InputError, NumericsError
 from .training import TrainConfig, child_seed
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ SWEEP_KNOBS = {
 }
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     pass
 
 
@@ -76,9 +76,11 @@ class RunSpec:
             raise UsageError(f"seeds repeat {repeated}; each seed needs its own run")
         if negative := sorted(s for s in self.seeds if s < 0):
             raise UsageError(f"seeds must be non-negative, got {negative}")
-        # reject bad model and training fields before any output is written
-        self.model_config(1)
-        self.train_config(0)
+        try:   # reject bad model and training fields before any output is written
+            self.model_config(1)
+            self.train_config(0)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
 
     def _shared(self, config_cls) -> dict:
         """This spec's values of the fields it shares with ``config_cls``."""
@@ -422,15 +424,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "train":
-            cmd_train(_build_spec(args), quiet=args.quiet)
-        elif args.command == "eval":
-            cmd_eval(args.checkpoint, args.dataset, args.schema, quiet=args.quiet)
-        elif args.command == "sweep":
-            values = _parse_ints(args.values, "--values")
-            cmd_sweep(_build_spec(args), args.knob, values, quiet=args.quiet)
+        # Every op output is checked, and a failed check exits 2 with one
+        # line: numpy's warnings on the same values would only repeat it.
+        with np.errstate(all="ignore"):
+            if args.command == "train":
+                cmd_train(_build_spec(args), quiet=args.quiet)
+            elif args.command == "eval":
+                cmd_eval(args.checkpoint, args.dataset, args.schema, quiet=args.quiet)
+            elif args.command == "sweep":
+                values = _parse_ints(args.values, "--values")
+                cmd_sweep(_build_spec(args), args.knob, values, quiet=args.quiet)
         return EXIT_OK
-    except (ValueError, OSError) as e:   # UsageError, SchemaError, CheckpointError included
+    except (InputError, OSError) as e:   # UsageError, SchemaError, CheckpointError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except NumericsError as e:   # any other exception is a bug: let it trace back

@@ -39,7 +39,7 @@ CHECKPOINT_VERSION = 1
 CHUNK_ROWS = 1024
 
 
-class CheckpointError(ValueError):
+class CheckpointError(T.InputError):
     """Checkpoint file is missing, truncated, corrupt, or wrong version."""
 
 
@@ -189,22 +189,21 @@ class MambaTabModel:
         self._check_width(x.shape)
         rows = x.shape[0]
         buf = {name: b[:rows] for name, b in (work or _workspace(self.config, rows)).items()}
-        with np.errstate(all="ignore"):   # the checks below find what numpy would warn of
-            h = _linear(x, self.embed_w.data, self.embed_b.data, out=buf["h"])
-            if self.config.use_layer_norm:
-                T._layer_norm(h, self.ln_gamma.data, self.ln_beta.data, xhat=buf["d"], out=h)
-            finite = _finite(h, buf["mask"])
-            np.maximum(h, 0.0, out=h)
-            for block in self.blocks:
-                finite = _block_array(block, buf) and finite
-            out = _linear(h, self.head_w.data, self.head_b.data)   # new: callers keep it
+        h = _linear(x, self.embed_w.data, self.embed_b.data, out=buf["h"])
+        if self.config.use_layer_norm:
+            T._layer_norm(h, self.ln_gamma.data, self.ln_beta.data, xhat=buf["d"], out=h)
+        finite = _finite(h, buf["mask"])
+        np.maximum(h, 0.0, out=h)
+        for block in self.blocks:
+            finite = _block_array(block, buf) and finite
+        out = _linear(h, self.head_w.data, self.head_b.data)   # new: callers keep it
         if not (finite and np.isfinite(out).all()):
             self._replay(x)
         return out
 
     def _replay(self, x: np.ndarray):
         """Run ``x`` through the graph, which raises the NumericsError naming
-        the op and warns as it always did."""
+        the op."""
         self.forward(x)
         raise AssertionError("the graph accepted a chunk the graph-free forward rejected")
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .tensor import InputError
+
 MISSING_TOKENS = {"", "?"}
 KINDS = ("categorical", "numerical")
 MIN_ROWS = 10   # the fewest rows ``split`` accepts
@@ -31,7 +33,7 @@ MIN_INCREMENTAL_FEATURES = 3   # one per group of ``make_incremental_plan``
 LOAD_BLOCK_ROWS = 256
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """Dataset shape or schema does not match what was fitted or declared."""
 
 

@@ -2,10 +2,12 @@
 
 Deliberately small: row-major numpy storage, the operations a gated
 state-space network needs, and a recorded graph that ``backward()``
-walks exactly once in reverse topological order. Every new tensor, and
-every operation's output, is checked for NaN/Inf, and a failed check
-raises :class:`NumericsError` instead of letting bad values propagate
-into the optimizer.
+walks once, newest node first: each node is made after its parents, so
+reverse creation order reaches a node after all of its consumers. Every
+new tensor, and every operation's output, is checked for NaN/Inf, and a
+failed check raises :class:`NumericsError` instead of letting bad values
+propagate into the optimizer. So numpy's own warnings only repeat a
+check: ``cli.main`` turns them off, and library callers see them first.
 
 One rule skips a check that cannot fail. ``reshape``, ``getitem``,
 ``relu``, ``silu`` and ``softplus`` map a finite input to a finite output,
@@ -24,11 +26,20 @@ The arithmetic operators take a Tensor on the left (``t + 1.0``, not
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 import numpy as np
+
+_SEQ = itertools.count()   # creation numbers: a node is made after its parents
 
 
 class NumericsError(ArithmeticError):
     """A forward value came out NaN/Inf, or a numeric contract was violated."""
+
+
+class InputError(ValueError):
+    """A malformed input: a usage, schema, data or checkpoint error."""
 
 
 def _as_array(data) -> np.ndarray:
@@ -36,7 +47,7 @@ def _as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_op", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -47,6 +58,7 @@ class Tensor:
         self._parents: tuple = ()
         self._grad_fn = None
         self._op = "leaf"
+        self._seq = next(_SEQ)
 
     @property
     def shape(self) -> tuple:
@@ -101,23 +113,10 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        heap = [(-self._seq, self)]
+        while heap:
+            node = heapq.heappop(heap)[1]
             g = pending.pop(id(node))
             if node._grad_fn is None:
                 node.grad = g if node.grad is None else node.grad + g
@@ -126,6 +125,8 @@ class Tensor:
                 if not parent.requires_grad:
                     continue
                 acc = pending.get(id(parent))
+                if acc is None:
+                    heapq.heappush(heap, (-parent._seq, parent))
                 pending[id(parent)] = pg if acc is None else acc + pg
 
 
@@ -149,6 +150,7 @@ def _make(data: np.ndarray, parents: tuple, grad_fn, op: str) -> Tensor:
     out.data = data
     out.grad = None
     out._op = op
+    out._seq = next(_SEQ)
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
@@ -174,28 +176,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # -- arithmetic -------------------------------------------------------------
-# Forward overflow is expected to surface as NumericsError from _make, so
-# the numpy warnings on these computations are suppressed.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data + b.data
+    data = a.data + b.data
     return _make(data, (a, b),
                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
                  "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data - b.data
+    data = a.data - b.data
     return _make(data, (a, b),
                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
                  "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data * b.data
+    data = a.data * b.data
     return _make(data, (a, b),
                  lambda g: (_unbroadcast(g * b.data, a.shape),
                             _unbroadcast(g * a.data, b.shape)),
@@ -203,8 +200,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        data = a.data / b.data
+    data = a.data / b.data
     return _make(data, (a, b),
                  lambda g: (_unbroadcast(g / b.data, a.shape),
                             _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
@@ -214,8 +210,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension error: {a.shape} @ {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data @ b.data
+    data = a.data @ b.data
     return _make(data, (a, b),
                  lambda g: (g @ b.data.T, a.data.T @ g),
                  "matmul")
@@ -224,8 +219,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- elementwise nonlinearities ---------------------------------------------
 
 def texp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow becomes NumericsError in _make
-        data = np.exp(x.data)
+    data = np.exp(x.data)
     return _make(data, (x,), lambda g: (g * data,), "exp")
 
 
@@ -267,8 +261,7 @@ def softplus(x: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
-    with np.errstate(over="ignore", invalid="ignore"):   # -inf * 0 is NaN, found by _make
-        data = x.data * s
+    data = x.data * s
     return _make(data, (x,),
                  lambda g: (g * s * (1.0 + x.data * (1.0 - s)),),
                  "silu")
@@ -356,12 +349,11 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     two results; ``out`` may be ``x`` itself, which is read before it is
     written. The values are the same either way.
     """
-    with np.errstate(over="ignore", invalid="ignore"):   # callers check the output
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + 1e-5)
-        xhat = np.multiply(np.subtract(x, mu, out=xhat), inv, out=xhat)
-        return np.add(np.multiply(gamma, xhat, out=out), beta, out=out), xhat, inv
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = np.multiply(np.subtract(x, mu, out=xhat), inv, out=xhat)
+    return np.add(np.multiply(gamma, xhat, out=out), beta, out=out), xhat, inv
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mambatab import cli, metrics, model as model_mod, synthetic, tabular, training
+from mambatab import cli, metrics, model as model_mod, synthetic, tabular, tensor as T, training
 from mambatab.cli import EXIT_OK, EXIT_USAGE, RunSpec, cmd_eval, cmd_sweep, cmd_train, main
 from mambatab.tabular import SchemaConfig
 
@@ -961,6 +961,36 @@ class TestMainEntry:
         with pytest.raises(ZeroDivisionError, match="planted"):
             main(["train", "--dataset", csv_path, "--schema", schema_path,
                   "--out", str(tmp_path / "bug"), "--seeds", "0", "--quiet"])
+
+    def test_untyped_value_error_is_a_bug(self, dataset, tmp_path, monkeypatch):
+        # Exit 1 is for an InputError or an OSError; a bare ValueError traces back.
+        csv_path, schema_path = dataset
+
+        def fail(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "run_one_seed", fail)
+        with pytest.raises(ValueError, match="bug"):
+            main(["train", "--dataset", csv_path, "--schema", schema_path,
+                  "--out", str(tmp_path / "bug"), "--seeds", "0", "--quiet"])
+
+    @pytest.mark.parametrize("blowup", [
+        lambda: training.bce_with_logits(T.Tensor(np.full((128, 1), 1e308)), np.zeros(128)),
+        lambda: T.causal_conv1d(T.Tensor(np.full((2, 3, 4), 1e308)),
+                                T.Tensor(np.full((4, 2), 10.0)), T.Tensor(np.zeros(4))),
+    ], ids=["bce-sum", "causal-conv1d"])
+    def test_every_numeric_failure_prints_one_line(self, dataset, tmp_path, capsys,
+                                                   monkeypatch, blowup):
+        csv_path, schema_path = dataset
+        monkeypatch.setattr(cli, "cmd_train", lambda spec, quiet=False: blowup())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--dataset", csv_path, "--schema", schema_path,
+                         "--out", str(tmp_path / "boom"), "--seeds", "0", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RUNTIME
+        assert [str(w.message) for w in caught] == []
+        assert len(err.splitlines()) == 1 and err.startswith("numeric failure:"), err
 
     def test_unknown_regime_exits_one(self, dataset, tmp_path):
         csv_path, schema_path = dataset

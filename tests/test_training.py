@@ -110,6 +110,45 @@ class TestAdam:
         assert peak < 1.5 * model.flat.nbytes
 
 
+def one_backward_digest(config: ModelConfig, rows: int) -> str:
+    """sha256 of every parameter's gradient, in layout order, after one
+    backward of a training loss on ``rows`` seeded rows; ``None`` is marked."""
+    rng = np.random.default_rng(rows)
+    model = MambaTabModel(config, rng=0)
+    x = rng.uniform(0.0, 1.0, size=(rows, config.n_features))
+    if config.head == "classification":
+        loss = bce_with_logits(model.forward(x), rng.integers(0, 2, size=rows))
+    else:
+        corrupted = np.where(corruption_masks(rng, rows, config.n_features), 0.0, x)
+        loss = mse_loss(model.forward(corrupted), x)
+    loss.backward()
+    h = hashlib.sha256()
+    for _, p in model.named_parameters():
+        h.update(b"None" if p.grad is None else p.grad.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("config,rows,digest", [
+    (ModelConfig(n_features=12), 128,
+     "4d4922c39d9056fc84a511a3d9888ff12aeee1ed752e6612f2880aab6c23a86a"),
+    (ModelConfig(n_features=12), 60,   # train_c7's tail batch
+     "79d902707314027e12dd7a0feb9c8ad90d4b2ac4a7a33590bc93a8f6fe16f7ce"),
+    (ModelConfig(n_features=12), 1,
+     "0a4d944a670d1b6bf1bc891c033a289a5b402a13842095e3ab39e2bd69d22321"),
+    (ModelConfig(n_features=12, n_blocks=2, use_layer_norm=False), 128,
+     "cab12986ea8bee46513d170f79c4630ad802c77ce64d25b03e98725b581a8674"),
+    (ModelConfig(n_features=12, n_blocks=3, expand=3, d_conv=2), 128,
+     "7b8cf725678e39e430af664b7c86aa95554d8813e0584eeedbb31220e53fe751"),
+    (ModelConfig(n_features=12, head="reconstruction"), 128,
+     "171733883d1e682ec7b230a470c1c8a9f10c4a75529429defba275a11c84a6c5"),
+], ids=["default-128", "default-60", "default-1", "2-blocks-no-ln", "3-blocks-e3-conv2",
+        "reconstruction"])
+def test_gradient_bytes_are_pinned(config, rows, digest):
+    # Digests taken when backward still walked a two-phase DFS topological
+    # order; at L = 1 the reverse-creation-order walk must move no bit.
+    assert one_backward_digest(config, rows) == digest
+
+
 @pytest.mark.parametrize("field,value", [("patience", 0), ("lr", 0.0), ("lr", -1e-3),
                                          ("lr", math.nan), ("lr", math.inf)])
 def test_train_config_rejects_bad_value(field, value):
@@ -254,7 +293,7 @@ class TestTrainSupervised:
                                           use_layer_norm=False), rng=0)
         model.embed_w.data[:] = 1e300
         from mambatab.tensor import NumericsError
-        with pytest.raises(NumericsError) as exc:
+        with pytest.raises(NumericsError) as exc, np.errstate(all="ignore"):
             train_supervised(model, tr, va, TrainConfig(seed=0, max_epochs=5))
         assert "epoch 1" in str(exc.value)
         assert isinstance(exc.value.report, training.TrainReport)
@@ -265,7 +304,7 @@ class TestTrainSupervised:
         tr, va, _ = encoded(synthetic.logistic_table(150, 3, 1, seed=14))
         assert tr.n_rows <= TrainConfig.batch_size
         model = MambaTabModel(ModelConfig(n_features=tr.values.shape[1]), rng=0)
-        with pytest.raises(T.NumericsError) as exc:
+        with pytest.raises(T.NumericsError) as exc, np.errstate(all="ignore"):
             train_supervised(model, tr, va, TrainConfig(lr=1e300))
         assert "epoch 1 (seed 0)" in str(exc.value)
         report = exc.value.report
