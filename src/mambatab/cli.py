@@ -273,6 +273,17 @@ def cmd_eval(checkpoint_path: str, dataset: str, schema_path: str,
         pre = tabular.Preprocessor.from_dict(meta["preprocessor"])
     except ValueError as e:
         raise model_mod.CheckpointError(f"{checkpoint_path}: metadata {e}") from None
+    # the model, its preprocessor and its column list must agree before any data is read
+    config, n_columns = model.config, len(pre.column_names)
+    if config.head != "classification":
+        raise model_mod.CheckpointError(f"{checkpoint_path}: model has a {config.head} head; "
+                                        f"eval needs a classification head")
+    if n_columns != config.n_features:
+        raise model_mod.CheckpointError(f"{checkpoint_path}: preprocessor has {n_columns} "
+                                        f"columns, model config n_features={config.n_features}")
+    if pre.column_names != meta["columns"]:
+        raise model_mod.CheckpointError(f"{checkpoint_path}: metadata 'columns' {meta['columns']} "
+                                        f"differ from the preprocessor's {pre.column_names}")
     schema = SchemaConfig(saved["label_column"], saved["positive_label"])
     if schema_path:
         schema = SchemaConfig.from_file(schema_path)
@@ -287,10 +298,6 @@ def cmd_eval(checkpoint_path: str, dataset: str, schema_path: str,
     _check_test_classes(table, meta["split_seed"], f"{whose} the")
     test_t = table.select_rows(tabular.split_rows(table.n_rows, meta["split_seed"])[2], "test")
     enc_test = tabular.transform(pre, test_t)
-    if enc_test.n_features != model.config.n_features:
-        raise SchemaError(
-            f"checkpoint expects {model.config.n_features} features, "
-            f"dataset provides {enc_test.n_features}")
     result = metrics.evaluate(model.predict_logits(enc_test.values), enc_test.labels,
                               seed=meta.get("seed", 0))
     if not quiet:

@@ -192,7 +192,7 @@ class MambaTabModel:
         h = _linear(x, self.embed_w.data, self.embed_b.data, out=buf["h"])
         if self.config.use_layer_norm:
             T._layer_norm(h, self.ln_gamma.data, self.ln_beta.data, xhat=buf["d"], out=h)
-        finite = _finite(h, buf["mask"])
+        finite = np.isfinite(h).all()
         np.maximum(h, 0.0, out=h)
         for block in self.blocks:
             finite = _block_array(block, buf) and finite
@@ -247,17 +247,14 @@ def _workspace(config: ModelConfig, rows: int) -> dict[str, np.ndarray]:
     input projection, whose two halves stay live until the gate; ``conv``
     the conv output, then delta and the scan output y; ``act`` SiLU(conv),
     which the scan reads as u, then SiLU(z); ``dt`` the softplus input,
-    then d_skip * u; ``tmp`` each SiLU's and softplus's scratch; ``bc`` and
-    ``bc_sum`` the scan's B * C and its row sums; ``mask`` the finiteness
-    checks of ``h`` and of each softplus input.
+    then d_skip * u; ``tmp`` each SiLU's and softplus's scratch; ``bc`` the
+    scan's B * C.
     """
     d, n = config.embed_dim, config.state_size
     e = config.expand * d
     widths = {"h": d, "d": d, "xz": 2 * e, "conv": e, "act": e, "dt": e, "tmp": e,
-              "dbc": ssm.dt_rank_for(d) + 2 * n, "bc": n, "bc_sum": 1}
-    work = {name: np.empty((rows, width)) for name, width in widths.items()}
-    work["mask"] = np.empty((rows, max(d, e)), dtype=bool)
-    return work
+              "dbc": ssm.dt_rank_for(d) + 2 * n, "bc": n}
+    return {name: np.empty((rows, width)) for name, width in widths.items()}
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -270,10 +267,6 @@ def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
 
 def _silu(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return np.multiply(x, _sigmoid(x, out=out, tmp=tmp), out=out)
-
-
-def _finite(a: np.ndarray, mask: np.ndarray) -> bool:
-    return bool(np.isfinite(a, out=mask[:, :a.shape[1]]).all())
 
 
 def _block_array(p: ssm.MambaBlockParams, buf: dict[str, np.ndarray]) -> bool:
@@ -292,11 +285,10 @@ def _block_array(p: ssm.MambaBlockParams, buf: dict[str, np.ndarray]) -> bool:
     u = _silu(np.add(conv, p.conv_bias.data, out=conv), out=act, tmp=tmp)
     dbc = _linear(u, p.x_proj_w.data, out=buf["dbc"])
     _linear(dbc[:, :r], p.dt_proj_w.data, p.dt_proj_b.data, out=dt)
-    finite = _finite(dt, buf["mask"]) and bool(np.isfinite(np.exp(p.a_log.data)).all())
+    finite = np.isfinite(dt).all() and np.isfinite(np.exp(p.a_log.data)).all()
     delta = T._softplus(dt, out=conv, tmp=tmp)
     # selective_scan's collapsed single step: ((delta * u) * (B . C)) + d_skip * u
-    bc = np.multiply(dbc[:, r:r + n], dbc[:, r + n:], out=buf["bc"]).sum(
-        axis=-1, keepdims=True, out=buf["bc_sum"])
+    bc = np.multiply(dbc[:, r:r + n], dbc[:, r + n:], out=buf["bc"]).sum(axis=-1, keepdims=True)
     y = np.multiply(np.multiply(delta, u, out=delta), bc, out=delta)
     y = np.add(y, np.multiply(p.d_skip.data, u, out=dt), out=y)
     y = np.multiply(y, _silu(z, out=act, tmp=tmp), out=y)

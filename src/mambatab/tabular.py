@@ -429,15 +429,11 @@ class FeatureSubsetPlan:
 def make_incremental_plan(n_features: int, seed: int) -> FeatureSubsetPlan:
     """Seeded partition into three near-equal disjoint groups.
 
-    Remainder columns go to the earliest groups, e.g. 10 -> 4/3/3.
+    Remainder columns go to the earliest groups (``np.array_split``), e.g.
+    10 -> 4/3/3.
     """
     if n_features < MIN_INCREMENTAL_FEATURES:
         raise ValueError(f"need at least {MIN_INCREMENTAL_FEATURES} features for an "
                          f"incremental plan, got {n_features}")
-    perm = list(np.random.default_rng(seed).permutation(n_features))
-    base, rem = divmod(n_features, 3)
-    sizes = [base + (1 if i < rem else 0) for i in range(3)]
-    s1 = [int(i) for i in perm[:sizes[0]]]
-    s2 = [int(i) for i in perm[sizes[0]:sizes[0] + sizes[1]]]
-    s3 = [int(i) for i in perm[sizes[0] + sizes[1]:]]
-    return FeatureSubsetPlan(s1, s2, s3)
+    perm = np.random.default_rng(seed).permutation(n_features)
+    return FeatureSubsetPlan(*(group.tolist() for group in np.array_split(perm, 3)))

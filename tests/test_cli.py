@@ -4,11 +4,13 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +366,34 @@ class TestEval:
                      "--schema", schema_path, "--quiet"])
         assert code == EXIT_USAGE
         assert f"tensor '{first}' holds non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", ["present", "missing"])
+    @pytest.mark.parametrize("damage", ["reconstruction_head", "width", "columns"])
+    def test_inconsistent_checkpoint_exits_one_before_reading_data(self, dataset, trained_ckpt,
+                                                                   tmp_path, capsys, damage,
+                                                                   data):
+        csv_path, schema_path = dataset
+        model, meta = model_mod.load_with_metadata(trained_ckpt)
+        n = model.config.n_features
+        if damage == "reconstruction_head":
+            model = model_mod.swap_head(model, "reconstruction", 0)
+            expect = "model has a reconstruction head; eval needs a classification head"
+        elif damage == "width":
+            model = model_mod.MambaTabModel(replace(model.config, n_features=n + 1))
+            expect = f"preprocessor has {n} columns, model config n_features={n + 1}"
+        else:
+            meta["columns"] = meta["columns"][::-1]
+            expect = (f"metadata 'columns' {meta['columns']} differ from the preprocessor's "
+                      f"{meta['preprocessor']['column_names']}")
+        bad = tmp_path / "bad.ckpt"
+        model_mod.save(model, bad, metadata=meta)
+        data_path = csv_path if data == "present" else str(tmp_path / "absent.csv")
+        with pytest.raises(model_mod.CheckpointError):
+            cmd_eval(str(bad), data_path, schema_path, quiet=True)
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", data_path,
+                     "--schema", schema_path, "--quiet"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {bad}: {expect}\n"
 
 
 def _json_values():
@@ -843,6 +873,40 @@ class TestSweep:
         direct = cmd_train(quick_spec(dataset, tmp_path / "s2", seeds=[0], max_epochs=2,
                                       embed_dim=8), quiet=True)
         assert rows[0]["auroc_mean"] == direct["auroc_mean"]
+
+
+class TestHumanOutput:
+    def test_each_command_prints_its_lines(self, dataset, tmp_path, capsys):
+        csv_path, schema_path = dataset
+        run = ["--dataset", csv_path, "--schema", schema_path, "--seeds", "0",
+               "--embed-dim", "8", "--state-size", "4", "--max-epochs", "2"]
+        assert main(["train", "--out", str(tmp_path / "run"), *run]) == EXIT_OK
+        seed_line, *summary = capsys.readouterr().out.splitlines()
+        report = json.loads((tmp_path / "run" / "seed_0" / "report.json").read_text())["eval"]
+        prefix = f"seed 0: test AUROC {report['auroc']:.4f} accuracy {report['accuracy']:.4f} ("
+        assert seed_line.startswith(prefix)
+        assert re.fullmatch(r"\d+\.\ds\)", seed_line[len(prefix):])
+        params = model_mod.load(tmp_path / "run" / "seed_0" / "model.ckpt").flat.size
+        assert summary == [
+            "regime:          supervised",
+            f"dataset:         {csv_path}",
+            "seeds:           1",
+            "layer norm:      on",
+            f"test AUROC:      {report['auroc']:.4f} +/- 0.0000",
+            f"test accuracy:   {report['accuracy']:.4f}",
+            f"parameters:      {params}",
+        ]
+        assert (tmp_path / "run" / "summary.txt").read_text().splitlines() == summary
+
+        ckpt = str(tmp_path / "run" / "seed_0" / "model.ckpt")
+        assert main(["eval", "--checkpoint", ckpt, "--dataset", csv_path]) == EXIT_OK
+        assert capsys.readouterr().out == (f"test AUROC {report['auroc']:.4f}\n"
+                                           f"test accuracy {report['accuracy']:.4f}\n")
+
+        assert main(["sweep", "--out", str(tmp_path / "sweep"), *run,
+                     "--knob", "state-size", "--values", "4"]) == EXIT_OK
+        assert capsys.readouterr().out == (f"state-size=4: AUROC {report['auroc']:.4f} "
+                                           f"+/- 0.0000, {params} params\n")
 
 
 class TestMainEntry:
