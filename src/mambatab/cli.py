@@ -31,6 +31,12 @@ from .training import TrainConfig, child_seed
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+# Training holds 8 float64 vectors as long as the model's parameter count:
+# the weights, the best-epoch snapshot, the graph's gradients, and Adam's two
+# moments and three work buffers. ``train`` refuses a model whose 8 vectors
+# would pass this many bytes, about 16.7M parameters (the default has 13,665).
+TRAINING_VECTORS = 8
+MAX_TRAINING_BYTES = 1 << 30
 
 REGIMES = ("supervised", "incremental", "ssl")
 SWEEP_KNOBS = {
@@ -196,6 +202,12 @@ def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
         raise SchemaError(f"{spec.dataset}: {table.n_rows} data rows and {table.n_features} "
                           f"feature columns; {spec.regime} training needs at least "
                           f"{tabular.MIN_ROWS} and {min_features}")
+    head = "reconstruction" if spec.regime == "ssl" else "classification"
+    n_params = spec.model_config(table.n_features, head).param_count
+    if n_params * 8 * TRAINING_VECTORS > MAX_TRAINING_BYTES:
+        raise UsageError(f"a {head} model of {n_params} parameters on {table.n_features} "
+                         f"features needs {TRAINING_VECTORS} float64 vectors of "
+                         f"{n_params * 8} bytes to train; the cap is {MAX_TRAINING_BYTES} bytes")
     for seed in spec.seeds:
         _check_test_classes(table, child_seed(seed, training.STREAM_SPLIT),
                             f"{spec.dataset}: seed {seed}'s")
@@ -296,7 +308,10 @@ def cmd_eval(checkpoint_path: str, dataset: str, schema_path: str,
         raise SchemaError(f"{whose} {table.n_rows} data rows; evaluation splits need at "
                           f"least {tabular.MIN_ROWS}")
     _check_test_classes(table, meta["split_seed"], f"{whose} the")
-    test_t = table.select_rows(tabular.split_rows(table.n_rows, meta["split_seed"])[2], "test")
+    # eval reads only the test rows, so they become a table of their own: a view
+    # would parse each numerical column of the whole table, five times the cells
+    test_v = table.select_rows(tabular.split_rows(table.n_rows, meta["split_seed"])[2])
+    test_t = Table(table.column_names, list(test_v.columns), test_v.labels, "test")
     enc_test = tabular.transform(pre, test_t)
     result = metrics.evaluate(model.predict_logits(enc_test.values), enc_test.labels,
                               seed=meta.get("seed", 0))

@@ -7,15 +7,26 @@ imputed with the column mode, then every column is min-max scaled to
 [0, 1] using statistics fitted on the training split only. A numerical
 column with an ``inf`` or ``nan`` cell is a schema error; a categorical
 column keeps such text as an ordinary category.
+
+A loaded table reads each column once, and every split of every seed
+shares that read: ``split`` returns row views (the cells plus an index
+array), ``fit`` counts a categorical column's codes with ``np.bincount``
+and takes a numerical column's statistics with ``np.unique``, and
+``transform`` encodes a categorical column through one lookup table
+indexed by its codes.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from itertools import compress, repeat
+from operator import index as int_index, is_not
 
 import numpy as np
 
@@ -96,26 +107,33 @@ def _read_text(path) -> str:
         raise SchemaError(f"{path}:{line}: byte {e.start} is not UTF-8 ({e.reason})") from None
 
 
-@dataclass
 class Table:
-    """Raw tabular data: per-column cell vectors plus binary labels.
+    """Raw tabular data: per-column cells plus binary labels, or a row view of them.
 
-    Each column is parsed as numbers at most once (``parsed_column``);
-    the cells must not be changed after that.
+    A table from ``load_csv`` or the constructor owns its cells. ``split``
+    and ``select_rows`` return row views: the owner's cells and reads plus
+    an index array, so no cell is copied. The owner reads each column at
+    most once, when first asked, and every view and every seed's split
+    shares the read: the observed-cell mask, and the float64 values (one
+    ``float()`` per observed cell, stopping at the first cell that is not
+    a number) or the codes into the column's distinct cell texts in
+    first-seen order, whichever its kind needs. A view of a column whose
+    whole-table parse failed parses its own rows each time it is asked,
+    so its kind and its errors depend on its rows alone. Cells must not
+    change after a first read.
     """
 
-    column_names: list[str]
-    columns: list[list]          # cells are str | float | None
-    labels: np.ndarray           # int array of {0, 1}
-    split: str = ""
-    _parsed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = len(self.labels)
-        for name, col in zip(self.column_names, self.columns):
+    def __init__(self, column_names: list[str], columns: list[list], labels: np.ndarray,
+                 split: str = ""):
+        self.column_names, self.labels, self.split = column_names, labels, split
+        self._cells = columns   # the owner's cells: str | float | None
+        self._rows = None       # this table's rows of _cells, or None for all in order
+        self._reads: dict = {}  # (what, j) -> the owner's read of column j
+        m = len(labels)
+        for name, col in zip(column_names, columns):
             if len(col) != m:
                 raise SchemaError(f"column '{name}' has {len(col)} rows, labels have {m}")
-        if m and not np.isin(self.labels, (0, 1)).all():
+        if m and not np.isin(labels, (0, 1)).all():
             raise SchemaError("labels must contain only 0 and 1")
 
     @property
@@ -124,34 +142,89 @@ class Table:
 
     @property
     def n_features(self) -> int:
-        return len(self.columns)
+        return len(self._cells)
 
-    def parsed_column(self, j: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Observed-cell mask and float64 values of column j's observed cells.
+    @property
+    def columns(self) -> Sequence[list]:
+        """Each column's cells in this table's row order.
 
-        None when an observed cell does not parse as a number; parsing
-        stops at that cell. The result is computed once and then reused.
+        A view's columns build column j when it is read: they take an int
+        index only (a slice is a TypeError) and compare by identity.
         """
-        if j not in self._parsed:
-            col = self.columns[j]
-            try:
-                values = np.fromiter(map(float, (c for c in col if c is not None)),
-                                     dtype=np.float64)
-            except ValueError:
-                self._parsed[j] = None
-            else:
-                observed = np.fromiter((c is not None for c in col), dtype=bool, count=len(col))
-                self._parsed[j] = observed, values
-        return self._parsed[j]
+        return self._cells if self._rows is None else _RowColumns(self._cells, self._rows)
 
     def select_rows(self, indices, split: str = "") -> "Table":
-        rows = np.asarray(indices).tolist()   # Python ints index lists faster than numpy ints
-        return Table(
-            column_names=list(self.column_names),
-            columns=[[col[i] for i in rows] for col in self.columns],
-            labels=self.labels[rows],
-            split=split or self.split,
-        )
+        """A row view of ``indices``, in that order, sharing this table's cells and reads."""
+        view, rows = copy.copy(self), np.asarray(indices, dtype=np.intp)
+        view._rows = rows if self._rows is None else self._rows[rows]
+        view.labels, view.split = self.labels[rows], split or self.split
+        return view
+
+    def _read(self, what: str, j: int, read):
+        """``read(cells)`` of the owner's column j, made on first use."""
+        if (what, j) not in self._reads:
+            self._reads[what, j] = read(self._cells[j])
+        return self._reads[what, j]
+
+    def _mine(self, whole: np.ndarray) -> np.ndarray:
+        return whole if self._rows is None else whole[self._rows]
+
+    def _observed(self, j: int) -> np.ndarray:
+        return self._mine(self._read("observed", j, _observed_mask))
+
+    def _numbers(self, j: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Column j's observed mask and float64 cells (0.0 where missing); None if not all numbers."""
+        observed = self._read("observed", j, _observed_mask)
+        values = self._read("values", j, lambda col: _parse(col, observed))
+        if values is None and self._rows is not None:   # the failing cell may be another view's
+            observed = observed[self._rows]
+            values = _parse(map(self._cells[j].__getitem__, self._rows.tolist()), observed)
+            return None if values is None else (observed, values)
+        return None if values is None else (self._mine(observed), self._mine(values))
+
+    def _codes(self, j: int) -> tuple[list[str], np.ndarray]:
+        """Column j's distinct cell texts, first seen first, and its codes into them (-1: missing)."""
+        texts, codes = self._read("codes", j, _first_seen_codes)
+        return texts, self._mine(codes)
+
+
+class _RowColumns(Sequence):
+    """A view's columns: column j is built from the owner's cells when it is read."""
+
+    def __init__(self, cells: list[list], rows: np.ndarray):
+        self._cells, self._rows = cells, rows
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __getitem__(self, j: int) -> list:
+        return list(map(self._cells[int_index(j)].__getitem__, self._rows.tolist()))
+
+
+def _observed_mask(col: list) -> np.ndarray:
+    return np.fromiter(map(is_not, col, repeat(None)), dtype=bool, count=len(col))
+
+
+def _parse(cells, observed: np.ndarray) -> np.ndarray | None:
+    """float() of each observed cell, 0.0 where missing; None at the first cell that fails."""
+    try:
+        parsed = np.fromiter(map(float, compress(cells, observed.tolist())), dtype=np.float64,
+                             count=int(observed.sum()))
+    except ValueError:
+        return None
+    values = np.zeros(len(observed))
+    values[observed] = parsed
+    return values
+
+
+def _first_seen_codes(col: list) -> tuple[list[str], np.ndarray]:
+    distinct = dict.fromkeys(col)
+    if not all(type(c) is str for c in distinct if c is not None):
+        col = [c if c is None else str(c) for c in col]   # in-memory cells: 0.0 and -0.0 differ
+        distinct = dict.fromkeys(col)
+    texts = [c for c in distinct if c is not None]
+    index = {None: -1} | {c: i for i, c in enumerate(texts)}
+    return texts, np.fromiter(map(index.__getitem__, col), dtype=np.intp, count=len(col))
 
 
 def load_csv(path, schema: SchemaConfig) -> Table:
@@ -230,29 +303,28 @@ def infer_column_kinds(table: Table, overrides: dict[str, str] | None = None) ->
     """'numerical' when every observed cell parses as a number, else 'categorical'."""
     overrides = overrides or {}
     kinds = []
-    for j, (name, col) in enumerate(zip(table.column_names, table.columns)):
-        if all(c is None for c in col):
+    for j, name in enumerate(table.column_names):
+        if not table._observed(j).any():
             raise SchemaError(f"column '{name}' has no observed values")
         if name in overrides:
             kinds.append(overrides[name])
         else:
-            kinds.append("categorical" if table.parsed_column(j) is None else "numerical")
+            kinds.append("categorical" if table._numbers(j) is None else "numerical")
     return kinds
 
 
-def _numbers(table: Table, j: int, stage: str) -> tuple[np.ndarray, np.ndarray]:
-    """``parsed_column(j)`` of a numerical column; SchemaError unless all finite."""
-    parsed = table.parsed_column(j)
+def _finite_numbers(table: Table, j: int, stage: str) -> tuple[np.ndarray, np.ndarray]:
+    """``table._numbers(j)`` of a numerical column; SchemaError unless all finite."""
+    parsed = table._numbers(j)
     name = table.column_names[j]
     if parsed is None:
         raise SchemaError(f"column '{name}' is numerical but has non-numeric cells at {stage} time")
-    observed, values = parsed
-    finite = np.isfinite(values)
+    finite = np.isfinite(parsed[1])   # missing cells hold 0.0
     if not finite.all():
-        cell = table.columns[j][np.flatnonzero(observed)[np.argmin(finite)]]
+        cell = table.columns[j][np.argmin(finite)]
         raise SchemaError(f"column '{name}' is numerical but has the non-finite cell "
                           f"{cell!r} at {stage} time")
-    return observed, values
+    return parsed
 
 
 def _first_equal(values: np.ndarray, v) -> float:
@@ -336,18 +408,19 @@ def fit(table: Table, overrides: dict[str, str] | None = None) -> Preprocessor:
     modes: list = []
     mins: list[float] = []
     maxs: list[float] = []
-    for j, (name, kind, col) in enumerate(zip(table.column_names, kinds, table.columns)):
+    for j, kind in enumerate(kinds):
         if kind == "categorical":
-            counts = Counter(str(c) for c in col if c is not None)
-            best = max(counts.values())
-            cats = sorted(counts)
+            texts, codes = table._codes(j)
+            counts = np.bincount(codes[codes >= 0], minlength=len(texts))
+            cats = sorted(texts[i] for i in np.flatnonzero(counts).tolist())
             categories.append(cats)
-            modes.append(min(c for c, n in counts.items() if n == best))
+            modes.append(min(texts[i] for i in np.flatnonzero(counts == counts.max()).tolist()))
             mins.append(0.0)
             maxs.append(len(cats) - 1.0)
         else:
             # Mode ties go to the smallest value: np.unique sorts, argmax takes the first.
-            values = _numbers(table, j, "fit")[1]
+            observed, values = _finite_numbers(table, j, "fit")
+            values = values[observed]
             uniq, counts = np.unique(values, return_counts=True)
             categories.append(None)
             modes.append(_first_equal(values, uniq[np.argmax(counts)]))
@@ -357,7 +430,7 @@ def fit(table: Table, overrides: dict[str, str] | None = None) -> Preprocessor:
 
 
 def transform(pre: Preprocessor, table: Table) -> EncodedMatrix:
-    """Encode and scale a table with fitted state, cell by cell.
+    """Encode and scale a table with fitted state, one numpy pass per column.
 
     The table must hold exactly the fitted columns, in the fitted order.
     Unseen categories map to the training mode's index, out-of-range
@@ -366,21 +439,20 @@ def transform(pre: Preprocessor, table: Table) -> EncodedMatrix:
     if table.column_names != pre.column_names:
         raise SchemaError(f"table columns {table.column_names} differ from the fitted "
                           f"columns {pre.column_names}")
-    m = table.n_rows
-    out = np.zeros((m, table.n_features), dtype=np.float64)
-    for j, (kind, cats, mode, lo, hi, col) in enumerate(zip(
-            pre.kinds, pre.categories, pre.modes, pre.mins, pre.maxs, table.columns)):
+    out = np.zeros((table.n_rows, table.n_features), dtype=np.float64)
+    for j, (kind, cats, mode, lo, hi) in enumerate(zip(
+            pre.kinds, pre.categories, pre.modes, pre.mins, pre.maxs)):
         if kind == "categorical":
+            texts, codes = table._codes(j)
             index = {c: i for i, c in enumerate(cats)}
             mode_idx = index[mode]
-            codes = np.array(
-                [index.get(str(c), mode_idx) if c is not None else mode_idx for c in col],
-                dtype=np.float64,
-            )
+            # one entry per distinct text, then the missing cells' (code -1)
+            lookup = np.array([index.get(c, mode_idx) for c in texts] + [mode_idx],
+                              dtype=np.float64)
+            codes = lookup[codes]
         else:
-            observed, values = _numbers(table, j, "transform")
-            codes = np.full(m, mode, dtype=np.float64)
-            codes[observed] = values
+            observed, values = _finite_numbers(table, j, "transform")
+            codes = np.where(observed, values, mode)
         if hi > lo:
             with np.errstate(over="ignore"):   # a tiny range overflows to inf, clipped to 1
                 out[:, j] = np.clip((codes - lo) / (hi - lo), 0.0, 1.0)
@@ -390,7 +462,7 @@ def transform(pre: Preprocessor, table: Table) -> EncodedMatrix:
 
 
 def split(table: Table, seed: int) -> tuple[Table, Table, Table]:
-    """Seeded shuffle into train 70% / validation 10% / test 20%."""
+    """Seeded shuffle into train 70% / validation 10% / test 20%, as row views."""
     train_idx, val_idx, test_idx = split_rows(table.n_rows, seed)
     return (
         table.select_rows(train_idx, split="train"),

@@ -10,6 +10,7 @@ row-by-row CSV reader and per-cell reference for the tabular preprocessing.
 from __future__ import annotations
 
 import csv
+import math
 
 import mpmath
 import numpy as np
@@ -157,7 +158,8 @@ def reference_load_csv(path, label_column: str, positive_label: str):
 
 # The earlier per-cell implementation of tabular.infer_column_kinds / fit /
 # transform: every cell goes through float() on each pass, with no caching.
-# It accepts inf/nan as numbers, so compare only finite tables against it.
+# Its SchemaErrors carry the library's messages, so that a test can compare
+# the two paths' errors as well as their results.
 
 def _reference_parse_number(cell):
     if cell is None:
@@ -174,12 +176,12 @@ def reference_infer_column_kinds(table, overrides=None) -> list[str]:
     overrides = overrides or {}
     kinds = []
     for name, col in zip(table.column_names, table.columns):
-        if name in overrides:
-            kinds.append(overrides[name])
-            continue
         observed = [c for c in col if c is not None]
         if not observed:
             raise SchemaError(f"column '{name}' has no observed values")
+        if name in overrides:
+            kinds.append(overrides[name])
+            continue
         numeric = all(_reference_parse_number(c) is not None for c in observed)
         kinds.append("numerical" if numeric else "categorical")
     return kinds
@@ -193,13 +195,23 @@ def _reference_mode(values: list) -> object:
     return sorted(v for v, c in counts.items() if c == best)[0]
 
 
+def _reference_numbers(name: str, cells: list, stage: str) -> list[float]:
+    """float() of each cell; SchemaError, as the library words it, unless all finite numbers."""
+    nums = [_reference_parse_number(c) for c in cells]
+    if any(v is None for v in nums):
+        raise SchemaError(f"column '{name}' is numerical but has non-numeric cells at {stage} time")
+    for cell, v in zip(cells, nums):
+        if not math.isfinite(v):
+            raise SchemaError(f"column '{name}' is numerical but has the non-finite cell "
+                              f"{cell!r} at {stage} time")
+    return nums
+
+
 def reference_fit(table, overrides=None) -> Preprocessor:
     kinds = reference_infer_column_kinds(table, overrides)
     categories, modes, mins, maxs = [], [], [], []
     for name, kind, col in zip(table.column_names, kinds, table.columns):
         observed = [c for c in col if c is not None]
-        if not observed:
-            raise SchemaError(f"column '{name}' is entirely missing")
         if kind == "categorical":
             as_str = [str(c) for c in observed]
             cats = sorted(set(as_str))
@@ -208,9 +220,7 @@ def reference_fit(table, overrides=None) -> Preprocessor:
             mins.append(0.0)
             maxs.append(float(len(cats) - 1))
         else:
-            nums = [_reference_parse_number(c) for c in observed]
-            if any(v is None for v in nums):
-                raise SchemaError(f"column '{name}' declared numerical but has non-numeric cells")
+            nums = _reference_numbers(name, observed, "fit")
             categories.append(None)
             modes.append(_reference_mode(nums))
             mins.append(float(min(nums)))
@@ -234,10 +244,8 @@ def reference_transform(pre: Preprocessor, table) -> EncodedMatrix:
                 dtype=np.float64,
             )
         else:
-            parsed = [_reference_parse_number(c) if c is not None else mode for c in col]
-            if any(v is None for v in parsed):
-                raise SchemaError(f"column '{name}' has non-numeric cells at transform time")
-            codes = np.array(parsed, dtype=np.float64)
+            nums = iter(_reference_numbers(name, [c for c in col if c is not None], "transform"))
+            codes = np.array([mode if c is None else next(nums) for c in col], dtype=np.float64)
         if hi > lo:
             with np.errstate(over="ignore"):
                 out[:, j] = np.clip((codes - lo) / (hi - lo), 0.0, 1.0)

@@ -166,6 +166,27 @@ class TestEval:
         assert result.auroc == payload["eval"]["auroc"]
         assert result.accuracy == payload["eval"]["accuracy"]
 
+    def test_eval_parses_only_its_test_rows(self, dataset, trained_ckpt, monkeypatch):
+        csv_path, schema_path = dataset
+        table = tabular.load_csv(csv_path, SchemaConfig.from_file(schema_path))
+        split_seed = read_header(trained_ckpt)["metadata"]["split_seed"]
+        test_rows = tabular.split_rows(table.n_rows, split_seed)[2].tolist()
+        calls, load = [], tabular.load_csv
+
+        def counting_float(x):
+            calls.append(x)
+            return float(x)
+
+        def load_then_count(*args):
+            # counted from the CSV on: the checkpoint's checks compare types with float
+            loaded = load(*args)
+            monkeypatch.setattr(tabular, "float", counting_float, raising=False)
+            return loaded
+
+        monkeypatch.setattr(tabular, "load_csv", load_then_count)
+        cmd_eval(str(trained_ckpt), csv_path, schema_path, quiet=True)
+        assert calls == [col[i] for col in table.columns for i in test_rows]
+
     def test_incompatible_dataset_rejected(self, dataset, tmp_path):
         csv_path, schema_path = dataset
         spec = quick_spec(dataset, tmp_path / "run", seeds=[0], max_epochs=2)
@@ -678,6 +699,38 @@ class TestDataErrors:
         assert code == EXIT_USAGE
         assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()    # rejected before any output
+
+    def test_huge_embed_dim_exits_one_before_output(self, dataset, tmp_path, capsys):
+        csv_path, schema_path = dataset
+        code = main(["train", "--dataset", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "run"), "--seeds", "0", "--embed-dim", "100000000",
+                     "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: a classification model of ") and err.count("\n") == 1
+        assert err.endswith(f"; the cap is {cli.MAX_TRAINING_BYTES} bytes\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("regime,head", [("supervised", "classification"),
+                                             ("ssl", "reconstruction")])
+    def test_training_bytes_cap_is_exact(self, dataset, tmp_path, capsys, monkeypatch,
+                                         regime, head):
+        csv_path, schema_path = dataset
+        n_params = model_mod.ModelConfig(n_features=6, embed_dim=8, state_size=4,
+                                         head=head).param_count
+        need = cli.TRAINING_VECTORS * 8 * n_params
+        argv = ["train", "--dataset", csv_path, "--schema", schema_path, "--regime", regime,
+                "--seeds", "0", "--embed-dim", "8", "--state-size", "4", "--max-epochs", "0",
+                "--quiet"]
+        monkeypatch.setattr(cli, "MAX_TRAINING_BYTES", need - 1)
+        assert main([*argv, "--out", str(tmp_path / "over")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: a {head} model of {n_params} parameters on 6 features needs "
+            f"{cli.TRAINING_VECTORS} float64 vectors of {8 * n_params} bytes to train; "
+            f"the cap is {need - 1} bytes\n")
+        assert not (tmp_path / "over").exists()
+        monkeypatch.setattr(cli, "MAX_TRAINING_BYTES", need)
+        assert main([*argv, "--out", str(tmp_path / "at")]) == EXIT_OK
 
     @pytest.mark.parametrize("command,header,n_rows,counts", [
         (["train"], ["f0", "label"], 3, "3 data rows and 1 feature columns"),

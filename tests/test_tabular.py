@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from mambatab import tabular
 from mambatab.tabular import (
     SchemaConfig, SchemaError, Table,
-    fit, infer_column_kinds, load_csv, make_incremental_plan, split, transform,
+    fit, infer_column_kinds, load_csv, make_incremental_plan, split, split_rows, transform,
 )
 
 from helpers import (
@@ -232,10 +232,37 @@ class TestParseOnce:
         transform(fit(t, {"a": "categorical"}), t)
         assert float_calls == []
 
+    def test_splits_and_seeds_share_the_tables_parse(self, float_calls):
+        n = 40
+        num = [None if i % 7 == 3 else f"{i}.5" for i in range(n)]
+        train0, train1 = (set(split_rows(n, seed)[0].tolist()) for seed in (0, 1))
+        # a column whose whole-table parse stops at a held-out "x", before both seeds'
+        # training rows reach theirs
+        held_out, in_train = min(set(range(n)) - train0), max(train0 & train1)
+        assert held_out < in_train
+        cat = [str(i) for i in range(n)]
+        cat[held_out] = cat[in_train] = "x"
+        t = make_table({"num": num, "cat": cat, "pin": [str(i) for i in range(n)]},
+                       [i % 2 for i in range(n)])
+        for seed in (0, 1):
+            parts = split(t, seed)
+            pre = fit(parts[0], {"pin": "categorical"})
+            for part in parts:
+                transform(pre, part)
+        assert pre.kinds == ["numerical", "categorical", "categorical"]
+
+        def until_x(cells):
+            return cells[:cells.index("x") + 1]
+
+        want = [c for c in num if c is not None] + until_x(cat)
+        for seed in (0, 1):
+            want += until_x([cat[i] for i in split_rows(n, seed)[0]])
+        assert float_calls == want
+
 
 # Cells for the reference comparison: number text (exponents, signed zeros,
 # padded ints), in-memory numbers, missing markers and category strings.
-# Non-finite cells are left out: the reference accepts them as numbers.
+# Non-finite cells come only from HELD_OUT below.
 NUMBER_TEXT = st.one_of(
     st.sampled_from(["0", "-0.0", "0.0", "-0", "1e3", "1E-2", "-2.5e+01", "007", " 3 ", "1_0"]),
     st.floats(-1e6, 1e6).map(repr),
@@ -264,14 +291,27 @@ def train_test_tables(draw):
     return train, test, [j % 2 for j in range(n_train)], [j % 2 for j in range(n_test)], overrides
 
 
-def _ingest(infer, fit_, transform_, train, test, overrides):
-    """Kinds, Preprocessor JSON and both encodings; or the type of the exception raised."""
+def _ingest(infer, fit_, transform_, train, others, overrides):
+    """Kinds, Preprocessor JSON and the encodings of train and ``others``; or the error raised."""
     try:
         kinds = infer(train, overrides)
         pre = fit_(train, overrides)
-        return kinds, json.dumps(asdict(pre), sort_keys=True), [transform_(pre, t) for t in (train, test)]
+        return (kinds, json.dumps(asdict(pre), sort_keys=True),
+                [transform_(pre, t) for t in (train, *others)])
     except Exception as e:   # the reference decides which failures are expected
-        return type(e)
+        return type(e), str(e)
+
+
+def _assert_same_ingest(got, want):
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert not isinstance(got[0], type), f"raised {got}, reference did not"
+    assert got[:2] == want[:2]
+    for g, w in zip(got[2], want[2], strict=True):
+        assert g.values.tobytes() == w.values.tobytes()
+        assert np.array_equal(np.signbit(g.values), np.signbit(w.values))
+        assert np.array_equal(g.labels, w.labels) and g.split == w.split
 
 
 class TestMatchesPerCellReference:
@@ -289,20 +329,66 @@ class TestMatchesPerCellReference:
         train_cols, test_cols, train_labels, test_labels, overrides = case
 
         def tables():
-            return make_table(train_cols, train_labels), make_table(test_cols, test_labels)
+            return make_table(train_cols, train_labels), [make_table(test_cols, test_labels)]
 
         got = _ingest(infer_column_kinds, fit, transform, *tables(), overrides)
         want = _ingest(reference_infer_column_kinds, reference_fit, reference_transform,
                        *tables(), overrides)
-        if isinstance(want, type):
-            assert got is want
-            return
-        assert not isinstance(got, type), f"raised {got.__name__}, reference did not"
-        assert got[:2] == want[:2]
-        for g, w in zip(got[2], want[2]):
-            assert np.array_equal(g.values, w.values)
-            assert np.array_equal(np.signbit(g.values), np.signbit(w.values))
-            assert np.array_equal(g.labels, w.labels)
+        _assert_same_ingest(got, want)
+
+
+# Cells that only the validation and test rows of a column may hold: text,
+# which leaves the column numerical on its training rows, and non-finite numbers.
+HELD_OUT = {
+    "text held out": CATEGORY,
+    "non-finite held out": st.sampled_from(["inf", "-inf", "nan", " NaN ", "-Infinity",
+                                            float("nan"), float("-inf")]),
+}
+
+
+@st.composite
+def split_tables(draw):
+    """Columns, labels, a split seed and pinned kinds; some cells go to held-out rows only."""
+    n_rows, seed = draw(st.integers(tabular.MIN_ROWS, 30)), draw(st.integers(0, 2**16))
+    train = set(split_rows(n_rows, seed)[0].tolist())
+    held_out = [i for i in range(n_rows) if i not in train]
+    names = [f"c{j}" for j in range(draw(st.integers(1, 4)))]
+    columns = []
+    for _ in names:
+        kind = draw(st.sampled_from([*CELLS, *HELD_OUT]))
+        col = draw(st.lists(CELLS.get(kind, CELLS["numeric"]), min_size=n_rows, max_size=n_rows))
+        if kind in HELD_OUT:
+            for i in draw(st.lists(st.sampled_from(held_out), min_size=1, max_size=3)):
+                col[i] = draw(HELD_OUT[kind])
+        columns.append(col)
+    overrides = draw(st.dictionaries(st.sampled_from(names),
+                                     st.sampled_from(["categorical", "numerical"]), max_size=2))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows))
+    return names, columns, labels, seed, overrides
+
+
+class TestSplitViewsMatchCopies:
+    """fit and transform on ``split``'s row views agree with the per-cell reference on copies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_tables())
+    @example(case=(["c0", "c1"], [["0", "-0.0", None, "3", "0", "-0", "7", "0.0", "x", "inf", "1"],
+                                  ["a", "?", "", None, "a", "b", 1.0, -0.0, 0.0, "b", "a"]],
+                   [0, 1] * 5 + [0], 0, {"c1": "categorical"}))
+    def test_views_encode_as_per_cell_copies(self, case):
+        names, columns, labels, seed, overrides = case
+        table = make_table(dict(zip(names, columns)), labels)
+        for s in (seed, seed + 1):   # the second seed's split reuses the table's reads
+            copies = [Table(names, [[col[i] for i in rows] for col in columns],
+                            np.asarray(labels, dtype=np.int64)[rows], part)
+                      for rows, part in zip(split_rows(len(labels), s), ("train", "val", "test"))]
+            views = split(table, s)
+            got = _ingest(infer_column_kinds, fit, transform, views[0], views[1:], overrides)
+            want = _ingest(reference_infer_column_kinds, reference_fit, reference_transform,
+                           copies[0], copies[1:], overrides)
+            _assert_same_ingest(got, want)
+            assert [v.columns[j] for v in views for j in range(len(names))] == \
+                [c.columns[j] for c in copies for j in range(len(names))]
 
 
 class TestBlockLoad:
@@ -372,6 +458,14 @@ class TestSplit:
         b = split(t, seed=9)
         for x, y in zip(a, b):
             assert x.columns[0] == y.columns[0]
+
+    def test_view_columns_take_an_int_index_only(self):
+        t = make_table({"a": ["1", "2", "3"], "b": ["x", "y", "z"]}, [0, 1, 0])
+        view = t.select_rows([2, 0])
+        assert view.columns[np.int64(1)] == view.columns[-1] == ["z", "x"]
+        assert list(view.columns) == [["3", "1"], ["z", "x"]]
+        with pytest.raises(TypeError):
+            view.columns[0:1]
 
     def test_too_small_rejected(self):
         t = make_table({"a": [1.0] * 5}, [0, 1, 0, 1, 0])

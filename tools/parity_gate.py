@@ -28,7 +28,8 @@ The package is imported from the ``src/`` next to this file's ``tools/``,
 so a copy of this file dropped into another checkout runs that
 checkout's code. A change meant to keep every artifact byte-identical
 passes when both checkouts print the same digests for the same DIR path
-(``runspec.json`` records the paths). The protocol takes minutes.
+(``runspec.json`` records the paths). The protocol takes about 10 s on
+a 2-core x86-64 host.
 """
 
 from __future__ import annotations
