@@ -26,16 +26,13 @@ from . import metrics, model as model_mod, tabular, training
 from .model import MambaTabModel, ModelConfig
 from .tabular import SchemaConfig, SchemaError, Table
 from .tensor import InputError, NumericsError
-from .training import TrainConfig, child_seed
+from .training import TRAINING_VECTORS, TrainConfig, child_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
-# Training holds 8 float64 vectors as long as the model's parameter count:
-# the weights, the best-epoch snapshot, the graph's gradients, and Adam's two
-# moments and three work buffers. ``train`` refuses a model whose 8 vectors
-# would pass this many bytes, about 16.7M parameters (the default has 13,665).
-TRAINING_VECTORS = 8
+# ``train`` refuses a model whose TRAINING_VECTORS would pass this many bytes,
+# about 16.7M parameters (the default has 13,665).
 MAX_TRAINING_BYTES = 1 << 30
 
 REGIMES = ("supervised", "incremental", "ssl")
@@ -191,8 +188,10 @@ def _check_test_classes(table: Table, split_seed: int, whose: str) -> None:
                           f"{len(labels) - n_pos} negative rows; test AUROC needs both")
 
 
-def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
-    """Run every seed, write per-seed artifacts and the aggregate summary."""
+def _load_checked(specs: list[RunSpec]) -> tuple[SchemaConfig, Table]:
+    """Load the CSV that ``specs`` share (a sweep's differ only in sizes and
+    output), and check that each can train on it before any output exists."""
+    spec = specs[0]
     schema = SchemaConfig.from_file(spec.schema)
     table = tabular.load_csv(spec.dataset, schema)
     # split, ModelConfig and the incremental plan reject these too, but only
@@ -203,14 +202,23 @@ def cmd_train(spec: RunSpec, quiet: bool = False) -> dict:
                           f"feature columns; {spec.regime} training needs at least "
                           f"{tabular.MIN_ROWS} and {min_features}")
     head = "reconstruction" if spec.regime == "ssl" else "classification"
-    n_params = spec.model_config(table.n_features, head).param_count
-    if n_params * 8 * TRAINING_VECTORS > MAX_TRAINING_BYTES:
-        raise UsageError(f"a {head} model of {n_params} parameters on {table.n_features} "
-                         f"features needs {TRAINING_VECTORS} float64 vectors of "
-                         f"{n_params * 8} bytes to train; the cap is {MAX_TRAINING_BYTES} bytes")
+    for sub in specs:
+        n_params = sub.model_config(table.n_features, head).param_count
+        if n_params * 8 * TRAINING_VECTORS > MAX_TRAINING_BYTES:
+            raise UsageError(f"a {head} model of {n_params} parameters on {table.n_features} "
+                             f"features needs {TRAINING_VECTORS} float64 vectors of "
+                             f"{n_params * 8} bytes to train; the cap is {MAX_TRAINING_BYTES} "
+                             f"bytes")
     for seed in spec.seeds:
         _check_test_classes(table, child_seed(seed, training.STREAM_SPLIT),
                             f"{spec.dataset}: seed {seed}'s")
+    return schema, table
+
+
+def cmd_train(spec: RunSpec, quiet: bool = False, _loaded=None) -> dict:
+    """Run every seed, write per-seed artifacts and the aggregate summary.
+    ``cmd_sweep`` passes ``_loaded``, its ``_load_checked`` result."""
+    schema, table = _loaded or _load_checked([spec])
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "runspec.json", asdict(spec))
@@ -334,9 +342,10 @@ def cmd_sweep(spec: RunSpec, knob: str, values: list[int], quiet: bool = False) 
     # every value's spec is checked before the first run writes anything
     subs = [replace(spec, out_dir=str(out / f"{attr}_{value}"), **{attr: value})
             for value in values]
+    loaded = _load_checked(subs)
     rows = []
     for value, sub in zip(values, subs):
-        summary = cmd_train(sub, quiet=True)
+        summary = cmd_train(sub, quiet=True, _loaded=loaded)
         row = {"knob": knob, "value": value,
                "auroc_mean": summary["auroc_mean"], "auroc_std": summary["auroc_std"],
                "param_count": summary["param_count"]}

@@ -70,8 +70,13 @@ class ModelConfig:
 
     @property
     def param_count(self) -> int:
-        """Learnable-scalar count of the model this config builds."""
-        return sum(math.prod(shape) for _, shape in self.layout())
+        """Learnable-scalar count of the model this config builds, in O(1):
+        ``layout()`` grows with ``n_blocks``, and every block has one size."""
+        one_block = sum(math.prod(shape) for _, shape in replace(self, n_blocks=1).layout())
+        d = self.embed_dim
+        block = ssm.block_param_count(d, self.expand, self.state_size, self.d_conv,
+                                      ssm.dt_rank_for(d))
+        return one_block + (self.n_blocks - 1) * block
 
     def layout(self):
         """Yield (checkpoint name, shape) of every parameter, in checkpoint order."""

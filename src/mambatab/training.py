@@ -102,24 +102,23 @@ def cosine_lr(epoch: int, max_epochs: int, lr0: float) -> float:
     return 0.5 * lr0 * (1.0 + math.cos(math.pi * epoch / max_epochs))
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray   # first and second moments of every parameter, concatenated
-    v: np.ndarray
-    step: int = 0
-    # adam_step's workspace, as long as m: the concatenated gradient and two
-    # temporaries, made once so that a step allocates nothing parameter-sized
-    g: np.ndarray = field(init=False, repr=False, compare=False)
-    tmp: np.ndarray = field(init=False, repr=False, compare=False)
-    tmp2: np.ndarray = field(init=False, repr=False, compare=False)
+# Parameter-length float64 vectors that training holds at most: the weights,
+# the best snapshot, the graph's gradients and AdamState's four, and while SSL
+# fine-tunes, the pretrained weights.
+TRAINING_VECTORS = 8
 
-    def __post_init__(self):
-        self.g, self.tmp, self.tmp2 = (np.empty_like(self.m) for _ in range(3))
+
+class AdamState:
+    """Adam's two moments, concatenated, and ``adam_step``'s workspace: the
+    concatenated gradient and one temporary, all as long and made once."""
+
+    def __init__(self, n: int):
+        self.m, self.v, self.g, self.tmp = (np.zeros(n) for _ in range(4))
+        self.step = 0
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
-        n = sum(p.size for p in params)
-        return cls(m=np.zeros(n), v=np.zeros(n))
+        return cls(sum(p.size for p in params))
 
 
 def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
@@ -129,11 +128,12 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
     Every intermediate goes into ``state``'s workspace with ``out=``, in the
     order of the plain expressions ``m += (1 - b1) * g``,
     ``v += (1 - b2) * g * g`` and ``lr * m_hat / (sqrt(v_hat) + eps)``, so
-    the update is bit-identical to them.
+    the update is bit-identical to them; once the moments have read ``g``,
+    it holds ``v_hat`` and then the denominator.
     """
     state.step += 1
     t = state.step
-    g, m, v, a, b = state.g, state.m, state.v, state.tmp, state.tmp2
+    g, m, v, a = state.g, state.m, state.v, state.tmp
     for p, end in zip(params, itertools.accumulate(p.size for p in params)):
         g[end - p.size:end] = 0.0 if p.grad is None else p.grad.reshape(-1)
     m *= ADAM_BETA1
@@ -141,9 +141,9 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
     v *= ADAM_BETA2
     v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=a), g, out=a)
     m_hat = np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a)
-    v_hat = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=b)
+    v_hat = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)
     update = np.divide(np.multiply(lr, m_hat, out=a),
-                       np.add(np.sqrt(v_hat, out=b), ADAM_EPS, out=b), out=a)
+                       np.add(np.sqrt(v_hat, out=g), ADAM_EPS, out=g), out=a)
     for p, end in zip(params, itertools.accumulate(p.size for p in params)):
         p.data[...] -= update[end - p.size:end].reshape(p.shape)
 
@@ -202,8 +202,8 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
 
     ``batch_loss(idx)`` builds the loss of the training rows ``idx``;
     ``validate()`` returns the epoch's validation loss and AUROC (or None).
-    Adam follows a cosine schedule; the model is snapshotted at each new
-    validation minimum, and the model is returned holding the best snapshot.
+    Adam follows a cosine schedule; one snapshot takes the weights at each new
+    validation minimum, and the model returns holding it, without gradients.
     """
     rng = derive_rng(cfg.seed, _STREAM_SHUFFLE)
     params = [p for _, p in model.named_parameters()]
@@ -229,12 +229,13 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
         report.epochs_run = epoch
         stop = stopper.update(vl, epoch)
         if stopper.best_epoch == epoch:
-            best = model.flat.copy()
+            best[...] = model.flat
         if stop:
             report.early_stopped = True
             break
     report.best_epoch = stopper.best_epoch
     model.flat[:] = best
+    model.zero_grad()
     return model, report
 
 

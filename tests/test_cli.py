@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from mambatab import cli, metrics, model as model_mod, synthetic, tabular, tensor as T, training
 from mambatab.cli import EXIT_OK, EXIT_USAGE, RunSpec, cmd_eval, cmd_sweep, cmd_train, main
@@ -572,6 +572,114 @@ class TestCsvFuzz:
             assert err.getvalue().startswith("error:")
 
 
+_BAD_WORDS = ["0", "-1", "-7", "nan", "inf", "-inf", "x", "1.5", ""]
+_HUGE = st.integers(10**9, 10**30).map(str)
+_TINY = st.sampled_from(["1", "2", "3"])
+# Each run option's flag, then its values that may train and the rest. A
+# size is tiny or beyond the cap (10**9 of anything is over a billion
+# parameters): a size between them passes the cap and then allocates. Epochs
+# stay at 1 or fewer, or a run is long.
+_RUN_OPTIONS = {
+    "embed_dim": ("--embed-dim", _TINY, _HUGE),
+    "state_size": ("--state-size", _TINY, _HUGE),
+    "expand": ("--expand", _TINY, _HUGE),
+    "d_conv": ("--d-conv", _TINY, _HUGE),
+    "n_blocks": ("--m-blocks", _TINY, _HUGE),
+    "max_epochs": ("--max-epochs", st.sampled_from(["0", "1"]), st.just("-1")),
+    "patience": ("--patience", st.one_of(_TINY, _HUGE), st.nothing()),
+    "lr": ("--lr", st.sampled_from(["1e-3", "1", "1e300"]), st.nothing()),
+    "batch_size": ("--batch-size", st.one_of(st.sampled_from(["1", "64"]), _HUGE), st.nothing()),
+    "regime": ("--regime", st.sampled_from(cli.REGIMES), st.just("boosted")),
+    "seeds": ("--seeds", st.one_of(st.sampled_from(["0", "1", "1,0"]), _HUGE,
+                                   st.tuples(st.just("0"), _HUGE).map(",".join)),
+              st.sampled_from(["-1", "0,0", ",", "x", "1.5", "0,-1"])),
+}
+
+
+@st.composite
+def _cli_case(draw) -> tuple[list[str], list[str]]:
+    """A ``train`` or ``sweep`` argument list and the lines of its config file.
+
+    Paths are the placeholders CSV, SCHEMA, CONFIG, OUT and MISSING. Each
+    option comes as a flag, a config key, both or neither. At most two parts
+    of a case fail: a value, a missing file, an unknown config key or knob.
+    Seeds and epochs always come, so a run has at most 2 seeds and 1 epoch.
+    """
+    parts = [*_RUN_OPTIONS, "no_layer_norm", "dataset", "schema", "config", "config_key",
+             "knob", "values"]
+    failing = draw(st.sets(st.sampled_from(parts), max_size=2)) if draw(st.booleans()) else ()
+    command = draw(st.sampled_from(["train", "sweep"]))
+    argv = [command, "--dataset", "MISSING" if "dataset" in failing else "CSV",
+            "--schema", "MISSING" if "schema" in failing else "SCHEMA", "--out", "OUT"]
+    config = []
+    for key, (flag, good, bad) in _RUN_OPTIONS.items():
+        values = st.one_of(bad, st.sampled_from(_BAD_WORDS)) if key in failing else good
+        required = key in ("seeds", "max_epochs") or key in failing
+        where = draw(st.sampled_from(["flag", "config", "both"] + ([] if required else ["none"])))
+        if where in ("flag", "both"):
+            argv.append(f"{flag}={draw(values)}")
+        if where in ("config", "both"):
+            config.append(f"{key} = {draw(values)}")
+    if draw(st.booleans()):
+        argv.append("--no-layer-norm")
+    if "no_layer_norm" in failing or draw(st.booleans()):
+        words = ["maybe", ""] if "no_layer_norm" in failing else ["yes", "no", "1", "FALSE"]
+        config.append(f"no_layer_norm = {draw(st.sampled_from(words))}")
+    if "config_key" in failing:
+        config.append("embed_dims = 4")
+    if command == "sweep":
+        knob = "depth" if "knob" in failing else draw(st.sampled_from(sorted(cli.SWEEP_KNOBS)))
+        values = (st.lists(st.one_of(_TINY, _HUGE, st.sampled_from(_BAD_WORDS)), max_size=2)
+                  if "values" in failing else st.lists(_TINY, min_size=1, max_size=2, unique=True))
+        argv += ["--knob", knob, f"--values={','.join(draw(values))}"]
+    if config or draw(st.booleans()):
+        argv += ["--config", "MISSING" if "config" in failing else "CONFIG"]
+    if draw(st.booleans()):
+        argv.append("--quiet")
+    return argv, config
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    synthetic.write_csv(synthetic.logistic_table(40, 3, 1, seed=0), root / "tiny.csv")
+    (root / "tiny.schema").write_text("label_column = label\npositive_label = 1\n")
+    return str(root / "tiny.csv"), str(root / "tiny.schema")
+
+
+class TestCliFuzz:
+    """Any train or sweep argument list exits 0, 1 or 2 without a traceback; a
+    failure prints one error line, last, and exit 1 writes nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_cli_case())
+    @example(case=(["sweep", "--dataset", "CSV", "--schema", "SCHEMA", "--out", "OUT",
+                    "--seeds=0", "--max-epochs=1", "--knob", "embed-dim",
+                    "--values=1,1000000000"], []))   # the second value is over the cap
+    def test_exit_code_error_line_and_output(self, tiny_dataset, tmp_path_factory, case):
+        argv, config = case
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+            paths = {"CSV": tiny_dataset[0], "SCHEMA": tiny_dataset[1],
+                     **{name: str(Path(work, name.lower()))
+                        for name in ("CONFIG", "OUT", "MISSING")}}
+            Path(paths["CONFIG"]).write_text("".join(f"{line}\n" for line in config))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([paths.get(arg, arg) for arg in argv])
+            wrote = Path(paths["OUT"]).exists()
+        lines = err.getvalue().splitlines()
+        assert code in (EXIT_OK, EXIT_USAGE, cli.EXIT_RUNTIME)
+        event(f"exit {code}")
+        if code == EXIT_OK:
+            assert lines == []
+        else:
+            failures = [i for i, line in enumerate(lines)
+                        if line.startswith(("error:", "numeric failure:"))]
+            assert failures == [len(lines) - 1]
+        if code == EXIT_USAGE:
+            assert not wrote
+
+
 class TestDataErrors:
     def test_non_finite_numeric_cell_exits_one(self, tmp_path, capsys):
         table = synthetic.logistic_table(200, 4, 2, seed=0)
@@ -818,6 +926,15 @@ class TestRunSpecChecks:
         assert "embed_dim must be an int >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_sweep_value_over_cap_exits_one_before_any_run(self, dataset, tmp_path, capsys):
+        code = self.run(dataset, tmp_path / "sweep", "sweep", "--knob", "embed-dim",
+                        "--values", "8,100000000", "--seeds", "0", "--state-size", "4",
+                        "--max-epochs", "1")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: a classification model of ") and err.count("\n") == 1
+        assert not (tmp_path / "sweep").exists()
+
     @pytest.mark.parametrize("seed_args,config,repeated", [
         (["--seeds", "0,1,0,1"], "", "[0, 1]"),
         ([], "seeds = 3,2,3\n", "[3]"),
@@ -919,6 +1036,20 @@ class TestSweep:
         counts = [r["param_count"] for r in rows]
         diffs = np.diff(counts)
         assert len(set(diffs)) == 1
+
+    def test_schema_and_csv_are_read_once(self, dataset, tmp_path, monkeypatch):
+        reads = []
+        load_csv, from_file = tabular.load_csv, SchemaConfig.from_file.__func__
+
+        def read_schema(cls, path):
+            reads.append("schema")
+            return from_file(cls, path)
+
+        monkeypatch.setattr(tabular, "load_csv", lambda *a: reads.append("csv") or load_csv(*a))
+        monkeypatch.setattr(SchemaConfig, "from_file", classmethod(read_schema))
+        spec = quick_spec(dataset, tmp_path / "sweep", seeds=[0], max_epochs=1)
+        cmd_sweep(spec, "state-size", [2, 4, 6], quiet=True)
+        assert reads == ["schema", "csv"]
 
     def test_single_value_matches_train(self, dataset, tmp_path):
         spec = quick_spec(dataset, tmp_path / "s1", seeds=[0], max_epochs=2)

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import time
 import weakref
 from dataclasses import replace
 
@@ -234,6 +236,24 @@ class TestParameterCount:
         m = small_model(**overrides)
         assert m.config.param_count == M.count_parameters(m)
         assert list(m.config.layout()) == [(n, p.shape) for n, p in m.named_parameters()]
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"n_blocks": 2}, {"n_blocks": 7, "expand": 3, "d_conv": 2}, {"embed_dim": 33},
+        {"head": "reconstruction", "n_blocks": 3}, {"state_size": 1, "use_layer_norm": False},
+    ])
+    def test_count_equals_layout_sum(self, overrides):
+        config = ModelConfig(**{**SMALL, **overrides})
+        assert config.param_count == sum(math.prod(shape) for _, shape in config.layout())
+
+    def test_count_takes_constant_time_in_blocks(self):
+        # The size check runs before anything is allocated, so it must stay
+        # cheap at any block count.
+        config = ModelConfig(n_features=12, n_blocks=10**6)
+        start = time.perf_counter()
+        count = config.param_count
+        assert time.perf_counter() - start < 0.5
+        one = ModelConfig(n_features=12).param_count
+        assert count == one + (10**6 - 1) * ssm.block_param_count(32, 2, 32, 4, 2)
 
     def test_non_embedding_shapes_independent_of_features(self):
         a = small_model(n_features=5)

@@ -109,6 +109,68 @@ class TestAdam:
             tracemalloc.stop()
         assert peak < 1.5 * model.flat.nbytes
 
+    def test_state_holds_four_parameter_vectors(self):
+        model, params = self.default_model_with_grads(23)
+        tracemalloc.start()
+        try:
+            state = AdamState.for_params(params)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = [a for a in vars(state).values() if isinstance(a, np.ndarray)]
+        assert [a.size for a in arrays] == [model.flat.size] * 4
+        assert held < 4.5 * model.flat.nbytes
+
+
+MiB = 1 << 20
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one ``call()`` after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocationBudget:
+    """Each hot path's peak allocation stays within about 25% of the peak
+    measured when its bound was set (default 12-feature model), so a new
+    temporary the size of a batch or a chunk fails here on any machine."""
+
+    @staticmethod
+    def default_model():
+        return MambaTabModel(ModelConfig(n_features=12), rng=0), np.random.default_rng(0)
+
+    def test_training_step(self):
+        model, rng = self.default_model()
+        params = [p for _, p in model.named_parameters()]
+        opt = AdamState.for_params(params)
+        x = rng.uniform(0.0, 1.0, size=(TrainConfig.batch_size, 12))
+        y = rng.integers(0, 2, size=len(x))
+
+        def step():   # _fit's step
+            loss = bce_with_logits(model.forward(x), y)
+            model.zero_grad()
+            loss.backward()
+            adam_step(params, opt, 1e-4)
+
+        assert traced_peak(step) < 2.5 * MiB   # 2.00 MiB measured
+
+    def test_validation_pass(self):
+        model, rng = self.default_model()
+        x, y = rng.uniform(0.0, 1.0, size=(1000, 12)), rng.integers(0, 2, size=1000)
+        peak = traced_peak(lambda: training._validation_pass(model, x, y, bce_with_logits))
+        assert peak < 5.6 * MiB   # 4.49 MiB measured
+
+    def test_predict_logits_50k_rows(self):
+        model, rng = self.default_model()
+        x = rng.uniform(0.0, 1.0, size=(50_000, 12))
+        assert traced_peak(lambda: model.predict_logits(x)) < 6.2 * MiB   # 4.98 MiB measured
+
 
 def one_backward_digest(config: ModelConfig, rows: int) -> str:
     """sha256 of every parameter's gradient, in layout order, after one
@@ -601,6 +663,11 @@ MODEL_SOURCES = {
 
 
 class TestFlatStorage:
+    @pytest.mark.parametrize("source", ["supervised", "ssl"])
+    def test_trained_model_holds_no_gradients(self, source, tmp_path):
+        model = MODEL_SOURCES[source](tmp_path)
+        assert all(p.grad is None for _, p in model.named_parameters())
+
     @pytest.mark.parametrize("source", MODEL_SOURCES)
     def test_parameters_are_views_of_one_vector(self, source, tmp_path):
         assert_views_tile_flat(MODEL_SOURCES[source](tmp_path))
