@@ -5,8 +5,9 @@
     mambatab sweep --dataset d.csv --schema d.schema --knob state-size --values 4,8,16 --out runs/sweep
 
 Every artifact under the output directory is a pure function of the
-resolved run spec and seed; wall-clock timings go to a separate
-timing.json so reports and checkpoints are byte-reproducible.
+resolved run spec and seed; wall-clock timings and the numpy, BLAS and
+OpenBLAS settings they ran under go to a separate timing.json so reports
+and checkpoints are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -215,6 +217,15 @@ def _load_checked(specs: list[RunSpec]) -> tuple[SchemaConfig, Table]:
     return schema, table
 
 
+def _environment() -> dict:
+    """numpy, its BLAS build and OpenBLAS's settings (None when unset): what
+    byte-identity of the artifacts depends on besides the run spec."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy_version": np.__version__, "blas_name": blas["name"],
+            "blas_version": blas["version"],
+            **{key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}}
+
+
 def cmd_train(spec: RunSpec, quiet: bool = False, _loaded=None) -> dict:
     """Run every seed, write per-seed artifacts and the aggregate summary.
     ``cmd_sweep`` passes ``_loaded``, its ``_load_checked`` result."""
@@ -267,7 +278,8 @@ def cmd_train(spec: RunSpec, quiet: bool = False, _loaded=None) -> dict:
     ]
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(out / "timing.json",
-                {"per_seed_s": {str(o.seed): o.wall_time_s for o in outcomes}})
+                {"per_seed_s": {str(o.seed): o.wall_time_s for o in outcomes},
+                 "environment": _environment()})
     if not quiet:
         print("\n".join(lines))
     return summary

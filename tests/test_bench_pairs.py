@@ -34,3 +34,22 @@ def test_summarize_counts_wins_in_each_metrics_own_direction():
     assert "machine speed parent 1, change 1" in text
     assert ("change wins in pairs: ref_rows_per_s 1 of 3 (higher), unscaled_rows_per_s 2 of 3 "
             "(higher), setup_s 1 of 3 (lower), peak_rss_mb 1 of 3 (lower)") in text
+    assert "setup_s 0.875x, peak_rss_mb 1.01x" in text   # a failed run is left out
+
+
+def test_summarize_prints_each_end_to_end_metrics_quartiles_and_ratio():
+    entry = {
+        "parent": {"runs": [run(100.0 + 10 * i, 100.0, 1.0, 0.2 + 0.1 * i, 50.0 + 2 * i)
+                            for i in range(4)]},
+        "change": {"runs": [run(100.0 + 10 * i, 100.0, 1.0, 0.2 + 0.1 * i, 45.0 + i)
+                            for i in range(4)]},
+    }
+    text = bench_pairs.summarize(entry)
+    assert entry["parent"]["quartiles"]["peak_rss_mb"] == [51.5, 53.0, 54.5]
+    assert ("parent median over 4 runs: ref_rows_per_s 115, unscaled_rows_per_s 100, "
+            "machine_speed 1, setup_s 0.35, peak_rss_mb 53 (quartiles: ref_rows_per_s "
+            "107.5-122.5, setup_s 0.275-0.425, peak_rss_mb 51.5-54.5)") in text
+    assert "change median over 4 runs" in text and "peak_rss_mb 45.75-47.25)" in text
+    assert ("change/parent medians: ref_rows_per_s 1x, unscaled_rows_per_s 1x, setup_s 1x, "
+            "peak_rss_mb 0.8774x; machine speed parent 1, change 1") in text
+    assert entry["change_wins_peak_rss_mb"] == "4 of 4"

@@ -86,6 +86,18 @@ class TestTrain:
         assert 0.0 <= summary["auroc_mean"] <= 1.0
         assert summary["n_seeds"] == 2
 
+    def test_timing_records_the_numeric_environment(self, dataset, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        cmd_train(quick_spec(dataset, tmp_path / "run", seeds=[0], max_epochs=1), quiet=True)
+        timing = json.loads((tmp_path / "run" / "timing.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert list(timing["per_seed_s"]) == ["0"]
+        assert timing["environment"] == {
+            "numpy_version": np.__version__, "blas_name": blas["name"],
+            "blas_version": blas["version"], "OPENBLAS_NUM_THREADS": "1",
+            "OPENBLAS_CORETYPE": None}
+
     def test_summary_aggregation_matches_reports(self, dataset, tmp_path):
         spec = quick_spec(dataset, tmp_path / "run")
         summary = cmd_train(spec, quiet=True)

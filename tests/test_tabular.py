@@ -1,6 +1,7 @@
 import builtins
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -17,6 +18,9 @@ from mambatab.tabular import (
 from helpers import (
     reference_fit, reference_infer_column_kinds, reference_load_csv, reference_transform,
 )
+
+
+KiB = 1 << 10
 
 
 def make_table(columns: dict, labels):
@@ -398,9 +402,12 @@ class TestBlockLoad:
 
     @staticmethod
     def write(path, n_rows: int, blank_after=(), ragged_at=None) -> list[str]:
-        lines = ["a, verdict ,c"]
+        lines = ["a, verdict ,c,d"]
         for i in range(n_rows):
-            cells = [str(i), " yes" if i % 3 else "no ", ["x", "?", "", " y "][i % 4]]
+            # d's texts repeat within and across blocks; one-character texts such
+            # as c's are shared by CPython already
+            cells = [str(i), " yes" if i % 3 else "no ", ["x", "?", "", " y "][i % 4],
+                     [" red", "green ", "blue", "", "?"][i % 5]]
             lines.append(",".join(cells[:2] if i == ragged_at else cells))
             if i in blank_after:
                 lines.append("")
@@ -414,17 +421,43 @@ class TestBlockLoad:
         self.write(path, n_rows, blank_after={0, b - 2, b - 1, b, 2 * b - 1, 2 * b})
         t = load_csv(path, SchemaConfig("verdict", "yes"))
         names, columns, labels = reference_load_csv(path, "verdict", "yes")
-        assert t.column_names == names == ["a", "c"]
+        assert t.column_names == names == ["a", "c", "d"]
         assert t.columns == columns and len(columns[0]) == n_rows
         assert t.labels.tolist() == labels
+        row_by_row = Table(names, columns, np.asarray(labels, dtype=np.int64))
+        _assert_same_ingest(
+            _ingest(infer_column_kinds, fit, transform, t, [], {}),
+            _ingest(reference_infer_column_kinds, reference_fit, reference_transform,
+                    row_by_row, [], {}))
 
     def test_ragged_row_after_fourth_block_names_its_line(self, tmp_path):
         path = tmp_path / "d.csv"
         ragged = 4 * self.B + 3
         lines = self.write(path, ragged + 7, blank_after={5, self.B, 4 * self.B}, ragged_at=ragged)
         line = next(i for i, text in enumerate(lines, start=1) if text == f"{ragged}, yes")
-        with pytest.raises(SchemaError, match=rf"d\.csv:{line}: row with 2 cells, expected 3"):
+        with pytest.raises(SchemaError, match=rf"d\.csv:{line}: row with 2 cells, expected 4"):
             load_csv(path, SchemaConfig("verdict", "yes"))
+
+    def test_table_holds_each_block_text_once(self, tmp_path):
+        """Equal texts of a column in one block share one object: 8 blocks of four
+        red/green/blue/? columns and a float column hold 252 KiB, 563 KiB at one
+        object per cell."""
+        path, rng = tmp_path / "d.csv", np.random.default_rng(0)
+        lines = ["a,b,c,d,x,y"]
+        for i in range(8 * self.B):
+            texts = rng.choice(["red", "green", "blue", "?"], size=4).tolist()
+            lines.append(",".join(texts + [repr(float(rng.standard_normal())), str(i % 2)]))
+        path.write_text("\n".join(lines) + "\n")
+        schema = SchemaConfig("y", "1")
+        load_csv(path, schema)   # warm-up
+        tracemalloc.start()
+        try:
+            table = load_csv(path, schema)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert table.n_rows == 8 * self.B
+        assert held < 315 * KiB   # 252 KiB measured
 
 
 class TestSplit:

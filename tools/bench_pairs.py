@@ -15,10 +15,11 @@ Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 is even. Every run prints one line: ``ref_rows_per_s``, the unscaled rows/s
 and the machine speed median that scales it, then ``setup_s`` and
 ``peak_rss_mb``. At the end each side's medians are printed, with the
-quartiles where a side has 4 runs or more; then the change's median over
-the parent's for the scaled and the unscaled rate beside both sides'
-machine speed medians, since the probe can read the program's heap state
-as machine speed; then the number of pairs in which the change wins on
+quartiles of ``ref_rows_per_s``, ``setup_s`` and ``peak_rss_mb`` where a
+side has 4 runs or more; then the change's median over the parent's for
+those three and for the unscaled rate, beside both sides' machine speed
+medians, since the probe can read the program's heap state as machine
+speed; then the number of pairs in which the change wins on
 ``ref_rows_per_s`` and ``unscaled_rows_per_s`` (higher) and on
 ``setup_s`` and ``peak_rss_mb`` (lower).
 
@@ -43,6 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("ref_rows_per_s", "unscaled_rows_per_s", "machine_speed", "setup_s", "peak_rss_mb")
+# The end-to-end metrics whose quartiles and change/parent median ratio the summary prints.
+END_TO_END = ("ref_rows_per_s", "setup_s", "peak_rss_mb")
 # Metrics the change wins a pair on: +1 where higher is better, -1 where lower is.
 WINS = {"ref_rows_per_s": 1, "unscaled_rows_per_s": 1, "setup_s": -1, "peak_rss_mb": -1}
 UNSCALED = re.compile(r"rows_per_s unscaled over \d+ repeats: median ([0-9.e+-]+),.*"
@@ -120,15 +123,16 @@ def summarize(entry: dict) -> str:
         entry[side] = stats
         med, quart = stats["median"], stats["quartiles"]
         text = ", ".join(f"{name} {med[name]:.6g}" for name in METRICS if name in med)
-        if "ref_rows_per_s" in quart:
-            text += " (ref_rows_per_s quartiles {:.6g}-{:.6g})".format(
-                quart["ref_rows_per_s"][0], quart["ref_rows_per_s"][2])
+        spreads = [f"{name} {quart[name][0]:.6g}-{quart[name][2]:.6g}"
+                   for name in END_TO_END if name in quart]
+        if spreads:
+            text += f" (quartiles: {', '.join(spreads)})"
         lines.append(f"  {side} median over {len(stats['runs'])} runs: {text}")
     # The probe that scales ref_rows_per_s can read the program's heap state as
     # machine speed, so a claim shows the unscaled rate and both probe medians too.
     med_p, med_c = entry["parent"]["median"], entry["change"]["median"]
     ratios = [f"{name} {med_c[name] / med_p[name]:.4g}x"
-              for name in ("ref_rows_per_s", "unscaled_rows_per_s") if name in med_p and name in med_c]
+              for name in WINS if name in med_p and name in med_c]
     speeds = [f"{side} {med['machine_speed']:.4g}"
               for side, med in (("parent", med_p), ("change", med_c)) if "machine_speed" in med]
     lines.append(f"  change/parent medians: {', '.join(ratios)}; machine speed {', '.join(speeds)}")
