@@ -33,8 +33,9 @@ from .training import TRAINING_VECTORS, TrainConfig, child_seed
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
-# ``train`` refuses a model whose TRAINING_VECTORS would pass this many bytes,
-# about 16.7M parameters (the default has 13,665).
+# ``train`` refuses a model whose TRAINING_VECTORS and one scoring chunk's
+# workspace would pass this many bytes, about 16.7M parameters without the
+# workspace (the default has 13,665).
 MAX_TRAINING_BYTES = 1 << 30
 
 REGIMES = ("supervised", "incremental", "ssl")
@@ -204,13 +205,19 @@ def _load_checked(specs: list[RunSpec]) -> tuple[SchemaConfig, Table]:
                           f"feature columns; {spec.regime} training needs at least "
                           f"{tabular.MIN_ROWS} and {min_features}")
     head = "reconstruction" if spec.regime == "ssl" else "classification"
+    # validation and scoring forward a chunk at a time, through one workspace;
+    # the test split is the largest part they forward
+    rows = min(model_mod.CHUNK_ROWS, len(tabular.split_rows(table.n_rows, 0)[2]))
     for sub in specs:
-        n_params = sub.model_config(table.n_features, head).param_count
-        if n_params * 8 * TRAINING_VECTORS > MAX_TRAINING_BYTES:
+        config = sub.model_config(table.n_features, head)
+        n_params = config.param_count
+        # the workspace's widths, read from its buffers made for 0 rows
+        chunk = 8 * rows * sum(b.shape[1] for b in model_mod._workspace(config, 0).values())
+        if n_params * 8 * TRAINING_VECTORS + chunk > MAX_TRAINING_BYTES:
             raise UsageError(f"a {head} model of {n_params} parameters on {table.n_features} "
                              f"features needs {TRAINING_VECTORS} float64 vectors of "
-                             f"{n_params * 8} bytes to train; the cap is {MAX_TRAINING_BYTES} "
-                             f"bytes")
+                             f"{n_params * 8} bytes and a {rows}-row scoring workspace of "
+                             f"{chunk} bytes to train; the cap is {MAX_TRAINING_BYTES} bytes")
     for seed in spec.seeds:
         _check_test_classes(table, child_seed(seed, training.STREAM_SPLIT),
                             f"{spec.dataset}: seed {seed}'s")

@@ -91,8 +91,10 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
-        if d.pop("seq_len", 1) != 1:   # older headers carry "seq_len": 1
-            raise ValueError("only seq_len == 1 is supported; the embedding forms one token")
+        seq_len = d.pop("seq_len", 1)   # older headers carry "seq_len": 1
+        if type(seq_len) is not int or seq_len != 1:
+            raise ValueError(f"seq_len must be the JSON int 1, got {seq_len!r}; "
+                             f"the embedding forms one token")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
@@ -145,8 +147,8 @@ class MambaTabModel:
         """Logits [B, 1] (classification) or reconstruction [B, n_features].
 
         ``x`` is a [B, n_features] array of values in [0, 1], or a Tensor.
-        With ``graph=False`` (``x`` an array) the same values come back bit
-        for bit as a plain array, and no autodiff graph is recorded:
+        With ``graph=False`` the same values come back bit for bit as a
+        plain array, and no autodiff graph is recorded:
         scoring and validation run that way, training steps on the graph.
         ``_work`` is private to ``forward_chunks``, which passes the buffers
         its chunks share.
@@ -188,7 +190,7 @@ class MambaTabModel:
         the graph would. A failed check replays the chunk through the
         graph, which raises the NumericsError that names the op.
         """
-        x = T._as_array(x)
+        x = T._as_array(x.data if isinstance(x, Tensor) else x)
         if not np.isfinite(x).all():
             self._replay(x)
         self._check_width(x.shape)

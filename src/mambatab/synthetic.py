@@ -52,12 +52,17 @@ def _to_table(x: np.ndarray, labels: np.ndarray) -> Table:
     return Table(names, [list(x[:, j]) for j in range(x.shape[1])], labels)
 
 
-def write_csv(table: Table, path, label_column: str = "label") -> None:
-    """Write a Table to disk in the format `load_csv` reads back."""
+def _cell_text(c):
+    return "" if c is None else repr(float(c)) if isinstance(c, float) else c
+
+
+def write_csv(table: Table, path) -> None:
+    """Write a Table to disk in the format `load_csv` reads back, label last.
+
+    Each column is built once, so writing a row view gathers each column once.
+    """
+    columns = [list(map(_cell_text, col)) for col in table.columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(table.column_names + [label_column])
-        for i in range(table.n_rows):
-            row = [("" if col[i] is None else col[i]) for col in table.columns]
-            writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row]
-                            + [int(table.labels[i])])
+        writer.writerow(table.column_names + ["label"])
+        writer.writerows(zip(*columns, table.labels.tolist()))

@@ -131,6 +131,8 @@ class Table:
         self._cells = columns   # the owner's cells: str | float | None
         self._rows = None       # this table's rows of _cells, or None for all in order
         self._reads: dict = {}  # (what, j) -> the owner's read of column j
+        if len(column_names) != len(columns):
+            raise SchemaError(f"{len(column_names)} column names for {len(columns)} columns")
         m = len(labels)
         for name, col in zip(column_names, columns):
             if len(col) != m:
@@ -367,16 +369,21 @@ class Preprocessor:
             if not isinstance(d[key], list) or len(d[key]) != n:
                 raise ValueError(f"preprocessor '{key}' must be a list as long as 'column_names'")
         for j, kind in enumerate(d["kinds"]):
-            cats, mode = d["categories"][j], d["modes"][j]
+            cats, mode, lo, hi = (d[key][j] for key in ("categories", "modes", "mins", "maxs"))
             ok = {"column_names": isinstance(d["column_names"][j], str), "kinds": kind in KINDS,
-                  "mins": _is_real(d["mins"][j]), "maxs": _is_real(d["maxs"][j])}
+                  "mins": _is_real(lo), "maxs": _is_real(hi)}
             if kind == "categorical":
                 ok["categories"] = isinstance(cats, list) and all(isinstance(c, str) for c in cats)
                 ok["modes"] = ok["categories"] and mode in cats
+                ok["mins"] = ok["mins"] and lo == 0   # the range of codes 0 .. len(cats) - 1
+                ok["maxs"] = ok["maxs"] and ok["categories"] and hi == len(cats) - 1
             else:
                 ok["categories"] = cats is None
-                ok["modes"] = _is_real(mode)
-            bad = [key for key in keys if not ok[key]]
+                ok["maxs"] = ok["maxs"] and ok["mins"] and lo <= hi
+                ok["modes"] = _is_real(mode) and ok["maxs"] and lo <= mode <= hi
+            # a range is named before the mode it leaves out
+            bad = [key for key in ("column_names", "kinds", "categories", "mins", "maxs", "modes")
+                   if not ok[key]]
             if bad:
                 raise ValueError(f"preprocessor '{bad[0]}' has a bad entry {j}")
         return cls(

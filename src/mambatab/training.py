@@ -148,43 +148,6 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
         p.data[...] -= update[end - p.size:end].reshape(p.shape)
 
 
-def _abort(cause: NumericsError, report: TrainReport, epoch: int, seed: int) -> NumericsError:
-    """Wrap an op-level numerics failure with run context and the partial report."""
-    err = NumericsError(f"training aborted at epoch {epoch} (seed {seed}): {cause}")
-    err.report = report
-    return err
-
-
-class EarlyStopper:
-    """Tracks the strict minimum of a validation metric.
-
-    ``update`` returns True when the metric has failed to improve for
-    `patience` consecutive epochs. Ties do not count as improvement, so
-    the earliest minimum wins.
-    """
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = math.inf
-        self.best_epoch = 0
-        self.stale = 0
-
-    def update(self, value: float, epoch: int) -> bool:
-        if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.stale = 0
-            return False
-        self.stale += 1
-        return self.stale >= self.patience
-
-
-def _batches(n_rows: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n_rows)
-    for start in range(0, n_rows, batch_size):
-        yield perm[start:start + batch_size]
-
-
 def _validation_pass(model: MambaTabModel, values: np.ndarray, targets: np.ndarray,
                      loss_fn) -> tuple[float, list[np.ndarray]]:
     """One chunked forward over all rows: the row-weighted mean of the
@@ -202,20 +165,24 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
 
     ``batch_loss(idx)`` builds the loss of the training rows ``idx``;
     ``validate()`` returns the epoch's validation loss and AUROC (or None).
-    Adam follows a cosine schedule; one snapshot takes the weights at each new
-    validation minimum, and the model returns holding it, without gradients.
+    Each epoch shuffles the rows afresh; Adam follows a cosine schedule. One
+    snapshot takes the weights at each strict validation minimum (a tie is no
+    improvement, so the earliest minimum wins), training stops after
+    ``cfg.patience`` epochs in a row without one, and the model returns
+    holding the snapshot, without gradients. A NumericsError is raised again
+    naming the epoch and seed, with the partial report as ``.report``.
     """
     rng = derive_rng(cfg.seed, _STREAM_SHUFFLE)
     params = [p for _, p in model.named_parameters()]
     opt = AdamState.for_params(params)
-    stopper = EarlyStopper(cfg.patience)
-    best = model.flat.copy()
+    best, best_loss, stale = model.flat.copy(), math.inf, 0
     for epoch in range(1, cfg.max_epochs + 1):
         lr = cosine_lr(epoch - 1, cfg.max_epochs, cfg.lr)
         losses = []
         try:
-            for idx in _batches(n_rows, cfg.batch_size, rng):
-                loss = batch_loss(idx)
+            perm = rng.permutation(n_rows)
+            for start in range(0, n_rows, cfg.batch_size):
+                loss = batch_loss(perm[start:start + cfg.batch_size])
                 model.zero_grad()
                 loss.backward()
                 adam_step(params, opt, lr)
@@ -223,17 +190,20 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
             report.train_loss.append(float(np.mean(losses)))
             vl, auc = validate()
         except NumericsError as e:
-            raise _abort(e, report, epoch, cfg.seed) from e
+            err = NumericsError(f"training aborted at epoch {epoch} (seed {cfg.seed}): {e}")
+            err.report = report
+            raise err from e
         report.val_loss.append(vl)
         report.val_auroc.append(auc)
         report.epochs_run = epoch
-        stop = stopper.update(vl, epoch)
-        if stopper.best_epoch == epoch:
+        if vl < best_loss:
             best[...] = model.flat
-        if stop:
-            report.early_stopped = True
-            break
-    report.best_epoch = stopper.best_epoch
+            best_loss, report.best_epoch, stale = vl, epoch, 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                report.early_stopped = True
+                break
     model.flat[:] = best
     model.zero_grad()
     return model, report

@@ -234,7 +234,8 @@ class TestEval:
         "legacy_seq_len_2", "preprocessor_without_kinds", "schema_not_an_object",
         "split_seed_not_an_int", "null_mins", "unknown_kind", "float_embed_dim",
         "string_use_layer_norm", "float_dimension", "bool_dimension", "reordered_tensors",
-        "extra_tensor", "huge_n_blocks", "payload_size_beyond_int64",
+        "extra_tensor", "huge_n_blocks", "payload_size_beyond_int64", "legacy_seq_len_float",
+        "legacy_seq_len_true", "min_above_max", "mode_beyond_max", "categorical_max_beyond_codes",
     ])
     def test_malformed_checkpoint_exits_one(self, dataset, trained_ckpt, tmp_path, damage,
                                             monkeypatch, capsys):
@@ -257,9 +258,27 @@ class TestEval:
             "extra_tensor": "tensors entry 17 should be absent",
             "huge_n_blocks": "n_blocks=1099511627776",
             "payload_size_beyond_int64": "tensor payload",
+            "legacy_seq_len_float": "seq_len",
+            "legacy_seq_len_true": "seq_len",
+            "min_above_max": "preprocessor 'maxs' has a bad entry 0",
+            "mode_beyond_max": "preprocessor 'modes' has a bad entry 0",
+            "categorical_max_beyond_codes": "preprocessor 'maxs' has a bad entry 0",
         }.get(damage, "")
+        pre = meta["preprocessor"]
         if damage == "legacy_seq_len_2":
             header["config"]["seq_len"] = 2
+        elif damage == "legacy_seq_len_float":
+            header["config"]["seq_len"] = 1.0
+        elif damage == "legacy_seq_len_true":
+            header["config"]["seq_len"] = True
+        elif damage == "min_above_max":
+            pre["mins"][0], pre["maxs"][0] = pre["maxs"][0], pre["mins"][0]
+        elif damage == "mode_beyond_max":
+            pre["modes"][0] = pre["maxs"][0] + 1.0
+        elif damage == "categorical_max_beyond_codes":
+            # two codes, so the column's range is 0 to 1
+            pre["kinds"][0], pre["categories"][0], pre["modes"][0] = "categorical", ["a", "b"], "a"
+            pre["mins"][0], pre["maxs"][0] = 0.0, 100.0
         elif damage == "float_embed_dim":
             header["config"]["embed_dim"] += 0.5
         elif damage == "string_use_layer_norm":
@@ -836,9 +855,11 @@ class TestDataErrors:
     def test_training_bytes_cap_is_exact(self, dataset, tmp_path, capsys, monkeypatch,
                                          regime, head):
         csv_path, schema_path = dataset
-        n_params = model_mod.ModelConfig(n_features=6, embed_dim=8, state_size=4,
-                                         head=head).param_count
-        need = cli.TRAINING_VECTORS * 8 * n_params
+        config = model_mod.ModelConfig(n_features=6, embed_dim=8, state_size=4, head=head)
+        n_params = config.param_count
+        rows = len(tabular.split_rows(300, 0)[2])   # the dataset's test split, under one chunk
+        chunk = sum(b.nbytes for b in model_mod._workspace(config, rows).values())
+        need = cli.TRAINING_VECTORS * 8 * n_params + chunk
         argv = ["train", "--dataset", csv_path, "--schema", schema_path, "--regime", regime,
                 "--seeds", "0", "--embed-dim", "8", "--state-size", "4", "--max-epochs", "0",
                 "--quiet"]
@@ -846,7 +867,8 @@ class TestDataErrors:
         assert main([*argv, "--out", str(tmp_path / "over")]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             f"error: a {head} model of {n_params} parameters on 6 features needs "
-            f"{cli.TRAINING_VECTORS} float64 vectors of {8 * n_params} bytes to train; "
+            f"{cli.TRAINING_VECTORS} float64 vectors of {8 * n_params} bytes and a "
+            f"{rows}-row scoring workspace of {chunk} bytes to train; "
             f"the cap is {need - 1} bytes\n")
         assert not (tmp_path / "over").exists()
         monkeypatch.setattr(cli, "MAX_TRAINING_BYTES", need)

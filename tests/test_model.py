@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from mambatab import model as M
 from mambatab import ssm, training
 from mambatab.model import CheckpointError, MambaTabModel, ModelConfig
-from mambatab.tensor import NumericsError
+from mambatab.tensor import NumericsError, Tensor
 
 SMALL = dict(n_features=5, embed_dim=4, state_size=4, expand=2, d_conv=4)
 
@@ -139,6 +139,13 @@ class TestGraphFreeForward:
         a, b = m.forward(x).data, m.forward(x, graph=False)
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()   # bytes also tell -0.0 from 0.0
+
+    def test_tensor_input_gives_the_arrays_bytes(self):
+        m = small_model(seed=1, n_blocks=2)
+        x = np.random.default_rng(5).uniform(0.0, 1.0, size=(9, 5))
+        got = m.forward(Tensor(x), graph=False)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == m.forward(x, graph=False).tobytes()
 
     @pytest.mark.parametrize("plant", [_plant_input, _plant_embed_overflow, _plant_softplus_input,
                                        _plant_a_log, _plant_head_overflow])

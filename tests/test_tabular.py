@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mambatab import tabular
+from mambatab import synthetic, tabular
 from mambatab.tabular import (
     SchemaConfig, SchemaError, Table,
     fit, infer_column_kinds, load_csv, make_incremental_plan, split, split_rows, transform,
@@ -64,6 +64,14 @@ class TestTableChecks:
     def test_short_column_rejected(self):
         with pytest.raises(SchemaError, match="column 'b' has 2 rows, labels have 3"):
             make_table({"a": [1, 2, 3], "b": [1, 2]}, [0, 1, 0])
+
+    @pytest.mark.parametrize("names,columns,counts", [
+        (["a", "b"], [[1, 2]], "2 column names for 1 columns"),
+        (["a"], [[1, 2], [3, 4]], "1 column names for 2 columns"),
+    ])
+    def test_names_and_columns_must_pair_up(self, names, columns, counts):
+        with pytest.raises(SchemaError, match=counts):
+            Table(names, columns, np.array([0, 1]))
 
     def test_label_outside_zero_one_rejected(self):
         with pytest.raises(SchemaError, match="only 0 and 1"):
@@ -395,6 +403,23 @@ class TestSplitViewsMatchCopies:
                 [c.columns[j] for c in copies for j in range(len(names))]
 
 
+    def test_writing_a_view_gathers_each_column_once(self, tmp_path, monkeypatch):
+        view = split(synthetic.logistic_table(60, 2, 1, seed=0), seed=0)[0]
+        copy = Table(view.column_names, [view.columns[j] for j in range(3)], view.labels)
+        synthetic.write_csv(copy, tmp_path / "copy.csv")
+        gathered, gather = [], tabular._RowColumns.__getitem__
+
+        def counting_gather(columns, j):
+            col = gather(columns, j)
+            gathered.append(j)
+            return col
+
+        monkeypatch.setattr(tabular._RowColumns, "__getitem__", counting_gather)
+        synthetic.write_csv(view, tmp_path / "view.csv")
+        assert gathered == [0, 1, 2]
+        assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
+
+
 class TestBlockLoad:
     """load_csv moves rows into columns a block at a time; any row count reads as row by row."""
 
@@ -656,6 +681,12 @@ class TestCsvAndSchema:
         ("categories", [None, None]),         # categorical column without them
         ("column_names", ["a", 3]),
         ("maxs", [1.0]),                      # shorter than column_names
+        ("maxs", [1.0, 0.5]),                 # numerical max below its min
+        ("modes", ["x", 4.0]),                # numerical mode above its max
+        ("modes", ["x", 0.5]),                # numerical mode below its min
+        ("maxs", [100.0, 3.0]),               # categorical codes 0 and 1, not 0 .. 100
+        ("maxs", [0.0, 3.0]),                 # categorical range short of its codes
+        ("mins", [-1.0, 1.0]),                # categorical range starting below code 0
     ])
     def test_preprocessor_from_dict_names_bad_key(self, key, value):
         t = make_table({"a": ["x", "y", "x"], "n": [1.0, 3.0, None]}, [0, 1, 0])

@@ -10,7 +10,7 @@ from mambatab import metrics, model as model_mod, synthetic, tabular, tensor as 
 from mambatab.model import MambaTabModel, ModelConfig, swap_head, transfer_weights
 from mambatab.tensor import Tensor
 from mambatab.training import (
-    AdamState, EarlyStopper, Stage, TrainConfig, adam_step, bce_with_logits,
+    AdamState, Stage, TrainConfig, TrainReport, adam_step, bce_with_logits,
     corruption_masks, cosine_lr, derive_rng, finetune_after_ssl, mse_loss,
     pretrain_ssl, train_incremental, train_supervised,
 )
@@ -229,25 +229,49 @@ class TestCosineLr:
             cosine_lr(11, 10, 1e-4)
 
 
-class TestEarlyStopper:
-    def test_stops_after_immediate_rise_with_patience_one(self):
-        s = EarlyStopper(patience=1)
-        assert s.update(1.0, epoch=1) is False
-        assert s.update(1.1, epoch=2) is True
-        assert s.best_epoch == 1
+def scripted_fit(val_losses, patience):
+    """``training._fit`` on a tiny model whose validation losses are scripted.
 
-    def test_tie_is_not_improvement(self):
-        s = EarlyStopper(patience=2)
-        s.update(0.5, 1)
-        assert s.update(0.5, 2) is False
-        assert s.update(0.5, 3) is True
-        assert s.best_epoch == 1
+    Returns the trained model, its report and the weights each epoch validated.
+    """
+    rng = np.random.default_rng(0)
+    x, y = rng.random((8, 3)), np.array([0, 1] * 4)
+    model = MambaTabModel(ModelConfig(n_features=3, embed_dim=4, state_size=2), rng=0)
+    validated = []
 
-    def test_recovery_resets_counter(self):
-        s = EarlyStopper(patience=2)
-        for epoch, v in enumerate([1.0, 1.2, 0.9, 1.0, 0.8], start=1):
-            assert s.update(v, epoch) is False
-        assert s.best == 0.8 and s.best_epoch == 5
+    def batch_loss(idx):
+        return bce_with_logits(model.forward(x[idx]), y[idx])
+
+    def validate():
+        validated.append(model.flat.copy())
+        return val_losses[len(validated) - 1], None
+
+    cfg = TrainConfig(max_epochs=len(val_losses), patience=patience, lr=1e-2, batch_size=8)
+    model, report = training._fit(model, 8, cfg, TrainReport(), batch_loss, validate)
+    return model, report, validated
+
+
+class TestStopRule:
+    """The stop rule and best snapshot of ``_fit``, under scripted validation losses."""
+
+    def check(self, val_losses, patience, epochs_run, best_epoch):
+        model, report, validated = scripted_fit(val_losses, patience)
+        assert report.val_loss == val_losses[:epochs_run]
+        assert (report.epochs_run, report.best_epoch) == (epochs_run, best_epoch)
+        assert report.early_stopped == (epochs_run < len(val_losses))
+        assert np.array_equal(model.flat, validated[best_epoch - 1])
+        assert not np.array_equal(model.flat, validated[-1])
+
+    def test_rise_stops_at_patience_one(self):
+        self.check([1.0, 0.5, 0.7, 0.1], patience=1, epochs_run=3, best_epoch=2)
+
+    def test_tie_is_no_improvement(self):
+        # 0.9 at epoch 4 ties the minimum of epoch 3, so epoch 5 is the second stale epoch
+        self.check([1.0, 1.1, 0.9, 0.9, 0.95, 0.1], patience=2, epochs_run=5, best_epoch=3)
+
+    def test_new_minimum_resets_the_count(self):
+        # epoch 2 is stale, epoch 3 a new minimum; the tie at 5 is the second stale epoch after it
+        self.check([1.0, 1.2, 0.8, 1.0, 0.8, 2.0, 0.1], patience=2, epochs_run=5, best_epoch=3)
 
 
 class TestTrainSupervised:
