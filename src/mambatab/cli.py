@@ -102,7 +102,6 @@ class RunSpec:
 
 @dataclass
 class SeedOutcome:
-    seed: int
     result: metrics.EvalResult
     report_payload: dict
     checkpoint_metadata: dict
@@ -161,7 +160,6 @@ def run_one_seed(spec: RunSpec, table: Table, schema: SchemaConfig, seed: int) -
     payload["report"] = asdict(main_report)
     payload["eval"] = asdict(result)
     return SeedOutcome(
-        seed=seed,
         result=result,
         report_payload=payload,
         checkpoint_metadata=base_meta,
@@ -241,7 +239,9 @@ def cmd_train(spec: RunSpec, quiet: bool = False, _loaded=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "runspec.json", asdict(spec))
 
-    outcomes = []
+    # each seed keeps its per_seed.csv row, result and wall time; its model
+    # goes once written, so the next seed trains alone
+    rows, results, wall_times = [], [], {}
     for seed in spec.seeds:
         outcome = run_one_seed(spec, table, schema, seed)
         seed_dir = out / f"seed_{seed}"
@@ -249,16 +249,19 @@ def cmd_train(spec: RunSpec, quiet: bool = False, _loaded=None) -> dict:
         _write_json(seed_dir / "report.json", outcome.report_payload)
         model_mod.save(outcome.model, seed_dir / "model.ckpt",
                        metadata=outcome.checkpoint_metadata)
-        outcomes.append(outcome)
+        result, report = outcome.result, outcome.report_payload["report"]
+        results.append(result)
+        rows.append({"seed": seed, "auroc": result.auroc, "accuracy": result.accuracy,
+                     "best_epoch": report["best_epoch"], "epochs_run": report["epochs_run"]})
+        wall_times[str(seed)] = outcome.wall_time_s
         if not quiet:
-            print(f"seed {seed}: test AUROC {outcome.result.auroc:.4f} "
-                  f"accuracy {outcome.result.accuracy:.4f} "
-                  f"({outcome.wall_time_s:.1f}s)")
+            print(f"seed {seed}: test AUROC {result.auroc:.4f} "
+                  f"accuracy {result.accuracy:.4f} ({outcome.wall_time_s:.1f}s)")
+        del outcome
 
-    results = [o.result for o in outcomes]
     mean, std = metrics.aggregate(results)
     acc_mean = float(np.mean([r.accuracy for r in results]))
-    param_count = outcomes[0].report_payload["report"]["param_count"]
+    param_count = report["param_count"]
     summary = {
         "regime": spec.regime,
         "n_seeds": len(spec.seeds),
@@ -269,11 +272,7 @@ def cmd_train(spec: RunSpec, quiet: bool = False, _loaded=None) -> dict:
         "use_layer_norm": spec.use_layer_norm,
     }
     _write_csv(out / "summary.csv", [summary])
-    _write_csv(out / "per_seed.csv", [
-        {"seed": o.seed, "auroc": o.result.auroc, "accuracy": o.result.accuracy,
-         "best_epoch": o.report_payload["report"]["best_epoch"],
-         "epochs_run": o.report_payload["report"]["epochs_run"]}
-        for o in outcomes])
+    _write_csv(out / "per_seed.csv", rows)
     lines = [
         f"regime:          {spec.regime}",
         f"dataset:         {spec.dataset}",
@@ -284,9 +283,7 @@ def cmd_train(spec: RunSpec, quiet: bool = False, _loaded=None) -> dict:
         f"parameters:      {param_count}",
     ]
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(out / "timing.json",
-                {"per_seed_s": {str(o.seed): o.wall_time_s for o in outcomes},
-                 "environment": _environment()})
+    _write_json(out / "timing.json", {"per_seed_s": wall_times, "environment": _environment()})
     if not quiet:
         print("\n".join(lines))
     return summary
@@ -302,9 +299,11 @@ def cmd_eval(checkpoint_path: str, dataset: str, schema_path: str,
             f"{checkpoint_path} has no training metadata: lacks keys {missing}")
     saved = meta["schema"]
     if not (isinstance(saved, dict) and isinstance(saved.get("label_column"), str)
-            and isinstance(saved.get("positive_label"), str)):
+            and isinstance(saved.get("positive_label"), str)
+            and saved["positive_label"] not in tabular.MISSING_TOKENS):
         raise model_mod.CheckpointError(f"{checkpoint_path}: metadata 'schema' needs string "
-                                        f"'label_column' and 'positive_label'")
+                                        f"'label_column' and 'positive_label', the latter not "
+                                        f"a missing-cell token {sorted(tabular.MISSING_TOKENS)}")
     if type(meta["split_seed"]) is not int or meta["split_seed"] < 0:
         raise model_mod.CheckpointError(f"{checkpoint_path}: metadata 'split_seed' must be a "
                                         f"non-negative int, got {meta['split_seed']!r}")

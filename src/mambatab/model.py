@@ -401,12 +401,14 @@ def load_with_metadata(path) -> tuple[MambaTabModel, dict]:
         missing = sorted({"config", "metadata", "tensors"} - set(header))
         if missing:
             raise CheckpointError(f"checkpoint header lacks keys {missing}")
+        if not (isinstance(header["config"], dict) and isinstance(header["metadata"], dict)
+                and isinstance(header["tensors"], list)):
+            raise CheckpointError("checkpoint header needs objects 'config' and 'metadata' "
+                                  "and a list 'tensors'")
         try:
             config = ModelConfig.from_dict(header["config"])
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"bad model config in checkpoint header: {e}") from None
-        if not isinstance(header["metadata"], dict) or not isinstance(header["tensors"], list):
-            raise CheckpointError("checkpoint header needs an object 'metadata' and a list 'tensors'")
         entries = header["tensors"]
         # The list must equal the config's layout, made only as far as the list
         # reaches plus one entry. A dimension must be a JSON int: 32.0 or true fail.

@@ -9,11 +9,6 @@ import numpy as np
 from .tabular import Table
 
 
-def _bernoulli_logistic(rng, x, weights, scale):
-    logits = (x - 0.5) @ weights * scale
-    return (rng.random(len(x)) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int64)
-
-
 def logistic_table(n_rows: int, n_informative: int, n_noise: int, seed: int,
                    scale: float = 14.0) -> Table:
     """Features ~ U(0,1); labels Bernoulli of a logistic in the first block.
@@ -21,20 +16,13 @@ def logistic_table(n_rows: int, n_informative: int, n_noise: int, seed: int,
     ``scale`` controls signal strength; the default gives a strongly
     learnable problem (ideal-ranking AUROC well above 0.95).
     """
-    rng = np.random.default_rng(seed)
-    n = n_informative + n_noise
-    x = rng.random((n_rows, n))
-    w = rng.choice([-1.0, 1.0], size=n_informative)
-    labels = _bernoulli_logistic(rng, x[:, :n_informative], w, scale)
-    return _to_table(x, labels)
+    return staged_signal_table(n_rows, n_informative + n_noise, list(range(n_informative)),
+                               seed, scale)
 
 
 def noise_table(n_rows: int, n_features: int, seed: int) -> Table:
     """Features ~ U(0,1); labels are fair coin flips, independent of features."""
-    rng = np.random.default_rng(seed)
-    x = rng.random((n_rows, n_features))
-    labels = (rng.random(n_rows) < 0.5).astype(np.int64)
-    return _to_table(x, labels)
+    return staged_signal_table(n_rows, n_features, [], seed)
 
 
 def staged_signal_table(n_rows: int, n_features: int, signal_columns: list[int],
@@ -43,13 +31,10 @@ def staged_signal_table(n_rows: int, n_features: int, signal_columns: list[int],
     rng = np.random.default_rng(seed)
     x = rng.random((n_rows, n_features))
     w = rng.choice([-1.0, 1.0], size=len(signal_columns))
-    labels = _bernoulli_logistic(rng, x[:, signal_columns], w, scale)
-    return _to_table(x, labels)
-
-
-def _to_table(x: np.ndarray, labels: np.ndarray) -> Table:
-    names = [f"f{j}" for j in range(x.shape[1])]
-    return Table(names, [list(x[:, j]) for j in range(x.shape[1])], labels)
+    logits = (x[:, signal_columns] - 0.5) @ w * scale
+    labels = (rng.random(n_rows) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int64)
+    return Table([f"f{j}" for j in range(n_features)],
+                 [list(x[:, j]) for j in range(n_features)], labels)
 
 
 def _cell_text(c):

@@ -67,6 +67,9 @@ class SchemaConfig:
                               or key.startswith("kind."))
         if "positive_label" not in values:
             raise SchemaError(f"schema file {path} missing 'positive_label'")
+        if values["positive_label"] in MISSING_TOKENS:
+            raise SchemaError(f"schema file {path}: 'positive_label' is "
+                              f"{values['positive_label']!r}, which marks a missing cell")
         kinds = {}
         for key, val in values.items():
             if key.startswith("kind."):
@@ -373,7 +376,9 @@ class Preprocessor:
             ok = {"column_names": isinstance(d["column_names"][j], str), "kinds": kind in KINDS,
                   "mins": _is_real(lo), "maxs": _is_real(hi)}
             if kind == "categorical":
-                ok["categories"] = isinstance(cats, list) and all(isinstance(c, str) for c in cats)
+                # sorted and distinct, as ``fit`` writes them: a code is an index in the list
+                ok["categories"] = (isinstance(cats, list) and all(isinstance(c, str) for c in cats)
+                                    and cats == sorted(set(cats)))
                 ok["modes"] = ok["categories"] and mode in cats
                 ok["mins"] = ok["mins"] and lo == 0   # the range of codes 0 .. len(cats) - 1
                 ok["maxs"] = ok["maxs"] and ok["categories"] and hi == len(cats) - 1

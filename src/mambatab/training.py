@@ -187,6 +187,7 @@ def _fit(model: MambaTabModel, n_rows: int, cfg: TrainConfig, report: TrainRepor
                 loss.backward()
                 adam_step(params, opt, lr)
                 losses.append(loss.item())
+                del loss   # the step's graph, before the next batch or validation builds one
             report.train_loss.append(float(np.mean(losses)))
             vl, auc = validate()
         except NumericsError as e:

@@ -5,17 +5,31 @@ finite-difference gradients, a per-element scan recurrence in plain
 Python loops, O(m^2) pairwise AUROC counting, 50-digit references for
 the zero-order-hold closed form and for the sigmoid and softplus, and a
 row-by-row CSV reader and per-cell reference for the tabular preprocessing.
+``gc_off`` lets a test see what reference counts alone release.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import math
 
 import mpmath
 import numpy as np
 
 from mambatab.tabular import EncodedMatrix, Preprocessor, SchemaError
+
+
+@contextlib.contextmanager
+def gc_off():
+    """Turn the cyclic collector off for the block: an object still alive at
+    its end is one that reference counts do not release."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def mp_discretize(a: float, b: float, delta: float) -> tuple[float, float]:

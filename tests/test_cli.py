@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from hypothesis import event, example, given, settings, strategies as st
 from mambatab import cli, metrics, model as model_mod, synthetic, tabular, tensor as T, training
 from mambatab.cli import EXIT_OK, EXIT_USAGE, RunSpec, cmd_eval, cmd_sweep, cmd_train, main
 from mambatab.tabular import SchemaConfig
+
+from helpers import gc_off
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,22 @@ class TestTrain:
             assert (out / f"seed_{seed}" / "model.ckpt").exists()
         assert 0.0 <= summary["auroc_mean"] <= 1.0
         assert summary["n_seeds"] == 2
+
+    def test_no_earlier_seeds_model_is_alive_when_a_seed_starts(self, dataset, tmp_path,
+                                                                   monkeypatch):
+        models, alive_at_start, run = [], [], cli.run_one_seed
+
+        def tracked(*args):
+            alive_at_start.append([ref() is not None for ref in models])
+            outcome = run(*args)
+            models.append(weakref.ref(outcome.model))
+            return outcome
+
+        monkeypatch.setattr(cli, "run_one_seed", tracked)
+        with gc_off():   # released by reference counts, not by a collection
+            cmd_train(quick_spec(dataset, tmp_path / "run", seeds=[0, 1, 2], max_epochs=1),
+                      quiet=True)
+        assert alive_at_start == [[], [False], [False, False]]
 
     def test_timing_records_the_numeric_environment(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -236,6 +255,8 @@ class TestEval:
         "string_use_layer_norm", "float_dimension", "bool_dimension", "reordered_tensors",
         "extra_tensor", "huge_n_blocks", "payload_size_beyond_int64", "legacy_seq_len_float",
         "legacy_seq_len_true", "min_above_max", "mode_beyond_max", "categorical_max_beyond_codes",
+        "categories_unsorted", "categories_repeated", "config_as_pairs",
+        "positive_label_empty", "positive_label_question_mark",
     ])
     def test_malformed_checkpoint_exits_one(self, dataset, trained_ckpt, tmp_path, damage,
                                             monkeypatch, capsys):
@@ -263,6 +284,11 @@ class TestEval:
             "min_above_max": "preprocessor 'maxs' has a bad entry 0",
             "mode_beyond_max": "preprocessor 'modes' has a bad entry 0",
             "categorical_max_beyond_codes": "preprocessor 'maxs' has a bad entry 0",
+            "categories_unsorted": "preprocessor 'categories' has a bad entry 0",
+            "categories_repeated": "preprocessor 'categories' has a bad entry 0",
+            "config_as_pairs": "objects 'config' and 'metadata'",
+            "positive_label_empty": "'schema'",
+            "positive_label_question_mark": "'schema'",
         }.get(damage, "")
         pre = meta["preprocessor"]
         if damage == "legacy_seq_len_2":
@@ -279,6 +305,15 @@ class TestEval:
             # two codes, so the column's range is 0 to 1
             pre["kinds"][0], pre["categories"][0], pre["modes"][0] = "categorical", ["a", "b"], "a"
             pre["mins"][0], pre["maxs"][0] = 0.0, 100.0
+        elif damage in ("categories_unsorted", "categories_repeated"):
+            # fit writes a column's categories sorted and distinct
+            cats = ["z", "y", "x"] if damage == "categories_unsorted" else ["x", "x", "z"]
+            pre["kinds"][0], pre["categories"][0], pre["modes"][0] = "categorical", cats, "x"
+            pre["mins"][0], pre["maxs"][0] = 0.0, 2.0
+        elif damage == "config_as_pairs":
+            header["config"] = [[key, value] for key, value in header["config"].items()]
+        elif damage.startswith("positive_label_"):
+            meta["schema"]["positive_label"] = "" if damage == "positive_label_empty" else "?"
         elif damage == "float_embed_dim":
             header["config"]["embed_dim"] += 0.5
         elif damage == "string_use_layer_norm":
@@ -744,6 +779,24 @@ class TestDataErrors:
         _, meta = model_mod.load_with_metadata(tmp_path / "run" / "seed_0" / "model.ckpt")
         assert meta["columns"][0] == "f0"
         assert meta["preprocessor"]["kinds"][:2] == ["categorical", "numerical"]
+
+    @pytest.mark.parametrize("token", sorted(tabular.MISSING_TOKENS))
+    def test_missing_cell_token_as_positive_label_exits_one(self, dataset, tmp_path, token,
+                                                             capsys):
+        # the positive rows' label cells hold the token, which marks a missing cell
+        lines = Path(dataset[0]).read_text().splitlines()
+        csv_path = tmp_path / "token.csv"
+        csv_path.write_text("\n".join(line.removesuffix(",1") + f",{token}"
+                                      if line.endswith(",1") else line for line in lines) + "\n")
+        schema_path = tmp_path / "token.schema"
+        schema_path.write_text(f"label_column = label\npositive_label = {token}\n")
+        code = main(["train", "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--out", str(tmp_path / "run"), "--seeds", "0", "--max-epochs", "1",
+                     "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(schema_path) in err and "'positive_label'" in err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_kind_key_exits_one(self, dataset, tmp_path, capsys):
         csv_path, _ = dataset

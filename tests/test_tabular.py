@@ -687,6 +687,8 @@ class TestCsvAndSchema:
         ("maxs", [100.0, 3.0]),               # categorical codes 0 and 1, not 0 .. 100
         ("maxs", [0.0, 3.0]),                 # categorical range short of its codes
         ("mins", [-1.0, 1.0]),                # categorical range starting below code 0
+        ("categories", [["y", "x"], None]),   # categories out of sorted order
+        ("categories", [["x", "x"], None]),   # a category given twice
     ])
     def test_preprocessor_from_dict_names_bad_key(self, key, value):
         t = make_table({"a": ["x", "y", "x"], "n": [1.0, 3.0, None]}, [0, 1, 0])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from mambatab.training import (
     pretrain_ssl, train_incremental, train_supervised,
 )
 
-from helpers import reference_transform
+from helpers import gc_off, reference_transform
 
 
 def encoded(table, seed=0):
@@ -282,6 +283,24 @@ class TestTrainSupervised:
         cfg = TrainConfig(seed=0, max_epochs=200, lr=1e-3)
         best, report = train_supervised(model, tr, va, cfg)
         assert metrics.auroc(best.predict_proba(va.values), va.labels) >= 0.95
+
+    def test_each_loss_is_gone_before_the_next_is_built(self, monkeypatch):
+        tr, va, _ = encoded(synthetic.logistic_table(200, 3, 1, seed=2))
+        losses, alive_at_call = [], []
+
+        def tracked(logits, labels):
+            alive_at_call.append(sum(ref() is not None for ref in losses))
+            loss = bce_with_logits(logits, labels)
+            loss.data = np.asarray(loss.data)   # a 0-d array takes a weakref; np.float64 does not
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        monkeypatch.setattr(training, "bce_with_logits", tracked)
+        model = MambaTabModel(ModelConfig(n_features=4, embed_dim=8, state_size=4), rng=0)
+        with gc_off():   # released by reference counts, not by a collection
+            train_supervised(model, tr, va, TrainConfig(seed=0, max_epochs=3, batch_size=32))
+        # each epoch: 5 batches of the 140 training rows, then one validation chunk
+        assert alive_at_call == [0] * 18
 
     def test_head_kind_checked(self):
         tr, va, _ = encoded(synthetic.logistic_table(60, 3, 1, seed=2))
