@@ -9,6 +9,12 @@ failed check raises :class:`NumericsError` instead of letting bad values
 propagate into the optimizer. So numpy's own warnings only repeat a
 check: ``cli.main`` turns them off, and library callers see them first.
 
+``backward()`` computes no gradient for a parent that takes none, and adds
+the slices that ``getitem``s take of one input into one zero buffer until a
+dense gradient reaches it; from then on each slice is zero-filled and added
+on its own, since that order decides where ``-0.0`` becomes ``+0.0``. Adam
+(``training.adam_step``) updates a model's parameters as one vector.
+
 One rule skips a check that cannot fail. ``reshape``, ``getitem``,
 ``relu``, ``silu`` and ``softplus`` map a finite input to a finite output,
 so their output is not checked when their one input is itself an op's
@@ -114,6 +120,7 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        gathering = set()   # parents whose pending buffer holds slice gradients only
         heap = [(-self._seq, self)]
         while heap:
             node = heapq.heappop(heap)[1]
@@ -122,12 +129,24 @@ class Tensor:
                 node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._grad_fn(g)):
-                if not parent.requires_grad:
+                if not parent.requires_grad:   # its grad_fn entry may be None
                     continue
-                acc = pending.get(id(parent))
+                key = id(parent)
+                acc = pending.get(key)
                 if acc is None:
                     heapq.heappush(heap, (-parent._seq, parent))
-                pending[id(parent)] = pg if acc is None else acc + pg
+                if type(pg) is _Slice:
+                    own = key in gathering
+                    buf = acc if own else np.zeros_like(parent.data)
+                    buf[pg[0]] += pg[1]
+                    if own or acc is None:
+                        gathering.add(key)
+                        pending[key] = buf
+                        continue
+                    pg = buf
+                else:
+                    gathering.discard(key)
+                pending[key] = pg if acc is None else acc + pg
 
 
 def _wrap(x) -> Tensor:
@@ -187,15 +206,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
     return _make(data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                            _unbroadcast(-g, b.shape) if b.requires_grad else None),
                  "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
     return _make(data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)),
+                 lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None),
                  "mul")
 
 
@@ -212,7 +232,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul dimension error: {a.shape} @ {b.shape}")
     data = a.data @ b.data
     return _make(data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g),
+                 lambda g: (g @ b.data.T if a.requires_grad else None,
+                            a.data.T @ g if b.requires_grad else None),
                  "matmul")
 
 
@@ -262,9 +283,13 @@ def softplus(x: Tensor) -> Tensor:
 def silu(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
     data = x.data * s
-    return _make(data, (x,),
-                 lambda g: (g * s * (1.0 + x.data * (1.0 - s)),),
-                 "silu")
+
+    def grad_fn(g):   # g * s * (1.0 + x * (1.0 - s)), in two arrays
+        t = np.subtract(1.0, s)
+        t = np.add(1.0, np.multiply(x.data, t, out=t), out=t)
+        return (np.multiply(np.multiply(g, s), t, out=t),)
+
+    return _make(data, (x,), grad_fn, "silu")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -304,18 +329,21 @@ def _is_basic_index(idx) -> bool:
                for i in items)
 
 
+class _Slice(tuple):
+    """(index, gradient) from a getitem that picks part of its input."""
+
+
 def getitem(x: Tensor, idx) -> Tensor:
-    # Basic indices pick each element once, so += suffices; it also maps -0.0 to +0.0.
+    # Basic indices pick each element once, so += into zeros suffices; an idx that
+    # covers all of x in order adds 0.0 instead. Both map -0.0 to +0.0.
     if not _is_basic_index(idx):
         raise TypeError(f"getitem takes basic indices only, got {idx!r}")
     data = x.data[idx]
-
-    def grad_fn(g):
-        dx = np.zeros_like(x.data)
-        dx[idx] += g
-        return (dx,)
-
-    return _make(np.asarray(data, dtype=np.float64), (x,), grad_fn, "getitem")
+    steps = [i.step for i in (idx if isinstance(idx, tuple) else (idx,)) if isinstance(i, slice)]
+    whole = data.size == x.data.size and all(step is None or step > 0 for step in steps)
+    return _make(np.asarray(data, dtype=np.float64), (x,),
+                 lambda g: (np.add(g, 0.0).reshape(x.shape),) if whole else (_Slice((idx, g)),),
+                 "getitem")
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -350,7 +378,7 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     written. The values are the same either way.
     """
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True, mean=mu)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = np.multiply(np.subtract(x, mu, out=xhat), inv, out=xhat)
     return np.add(np.multiply(gamma, xhat, out=out), beta, out=out), xhat, inv
@@ -362,12 +390,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     reduce_axes = tuple(range(x.data.ndim - 1))
 
     def grad_fn(g):
+        # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma, in two arrays
         gg = g * gamma.data
-        dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        dgamma = (g * xhat).sum(axis=reduce_axes)
-        dbeta = g.sum(axis=reduce_axes)
-        return dx, dgamma, dbeta
+        t = np.multiply(gg, xhat)
+        m1, m2 = gg.mean(axis=-1, keepdims=True), t.mean(axis=-1, keepdims=True)
+        dx = np.subtract(gg, m1, out=gg)
+        dx = np.multiply(inv, np.subtract(dx, np.multiply(xhat, m2, out=t), out=dx), out=dx)
+        dgamma = np.multiply(g, xhat, out=t).sum(axis=reduce_axes)
+        return dx, dgamma, g.sum(axis=reduce_axes)
 
     return _make(data, (x, gamma, beta), grad_fn, "layer_norm")
 

@@ -110,15 +110,33 @@ TRAINING_VECTORS = 8
 
 class AdamState:
     """Adam's two moments, concatenated, and ``adam_step``'s workspace: the
-    concatenated gradient and one temporary, all as long and made once."""
+    concatenated gradient and one temporary, all as long and made once.
+    ``tiled`` keeps the views that ``_tiled_vector`` last found to tile one."""
 
     def __init__(self, n: int):
         self.m, self.v, self.g, self.tmp = (np.zeros(n) for _ in range(4))
         self.step = 0
+        self.tiled: tuple[np.ndarray, ...] = ()
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
         return cls(sum(p.size for p in params))
+
+
+def _tiled_vector(params: list[Tensor], state: AdamState) -> np.ndarray | None:
+    """The float64 vector that ``params``' arrays tile in order, as
+    ``MambaTabModel._bind`` lays them out, or None. The arrays of the last
+    list found to tile are known by identity, without reading addresses."""
+    if len(state.tiled) != len(params) or any(p.data is not t for p, t in zip(params, state.tiled)):
+        base = params[0].data.base
+        tiles = (isinstance(base, np.ndarray) and base.dtype == np.float64
+                 and base.shape == state.g.shape and base.flags.c_contiguous)
+        starts = itertools.accumulate((p.data.nbytes for p in params),
+                                      initial=base.ctypes.data) if tiles else ()
+        tiles = tiles and all(p.data.base is base and p.data.flags.c_contiguous
+                              and p.data.ctypes.data == start for p, start in zip(params, starts))
+        state.tiled = tuple(p.data for p in params) if tiles else ()
+    return state.tiled[0].base if state.tiled else None
 
 
 def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
@@ -129,13 +147,15 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
     order of the plain expressions ``m += (1 - b1) * g``,
     ``v += (1 - b2) * g * g`` and ``lr * m_hat / (sqrt(v_hat) + eps)``, so
     the update is bit-identical to them; once the moments have read ``g``,
-    it holds ``v_hat`` and then the denominator.
+    it holds ``v_hat`` and then the denominator. When the parameters tile one
+    vector, as a model's do, the update is subtracted from it in one call;
+    otherwise each parameter's slice is subtracted in place.
     """
     state.step += 1
     t = state.step
     g, m, v, a = state.g, state.m, state.v, state.tmp
-    for p, end in zip(params, itertools.accumulate(p.size for p in params)):
-        g[end - p.size:end] = 0.0 if p.grad is None else p.grad.reshape(-1)
+    np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.reshape(-1)
+                    for p in params], out=g)
     m *= ADAM_BETA1
     m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
     v *= ADAM_BETA2
@@ -144,6 +164,10 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
     v_hat = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)
     update = np.divide(np.multiply(lr, m_hat, out=a),
                        np.add(np.sqrt(v_hat, out=g), ADAM_EPS, out=g), out=a)
+    flat = _tiled_vector(params, state)
+    if flat is not None:
+        flat -= update
+        return
     for p, end in zip(params, itertools.accumulate(p.size for p in params)):
         p.data[...] -= update[end - p.size:end].reshape(p.shape)
 

@@ -3,7 +3,8 @@
 Everything here is independent of the library code paths it checks:
 finite-difference gradients, a per-element scan recurrence in plain
 Python loops, O(m^2) pairwise AUROC counting, 50-digit references for
-the zero-order-hold closed form and for the sigmoid and softplus, and a
+the zero-order-hold closed form and for the sigmoid and softplus, a
+backward pass that zero-fills each slice's gradient, and a
 row-by-row CSV reader and per-cell reference for the tabular preprocessing.
 ``gc_off`` lets a test see what reference counts alone release.
 """
@@ -15,9 +16,12 @@ import csv
 import gc
 import math
 
+import heapq
+
 import mpmath
 import numpy as np
 
+from mambatab import tensor as T
 from mambatab.tabular import EncodedMatrix, Preprocessor, SchemaError
 
 
@@ -87,6 +91,40 @@ def check_gradients(build_loss, params, eps: float = 1e-5, tol: float = 1e-4) ->
         worst = max(worst, err)
         assert err < tol, f"gradient mismatch {err:.3e} on parameter of shape {p.shape}"
     return worst
+
+
+def reference_getitem(x, idx):
+    """``tensor.getitem`` with the gradient it had before slices were gathered:
+    a zero-filled array shaped like the input, with the slice's gradient added
+    at ``idx``, for every slice."""
+    def grad_fn(g):
+        dx = np.zeros_like(x.data)
+        dx[idx] += g
+        return (dx,)
+
+    return T._make(np.asarray(x.data[idx], dtype=np.float64), (x,), grad_fn, "getitem")
+
+
+def reference_backward(loss) -> None:
+    """``Tensor.backward`` as it was before slices were gathered: every
+    gradient is a dense array, summed per parent in the order the parent's
+    consumers are visited, newest node first. Build the graph with
+    ``reference_getitem`` in place of ``tensor.getitem``."""
+    pending = {id(loss): np.ones_like(loss.data)}
+    heap = [(-loss._seq, loss)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        g = pending.pop(id(node))
+        if node._grad_fn is None:
+            node.grad = g if node.grad is None else node.grad + g
+            continue
+        for parent, pg in zip(node._parents, node._grad_fn(g)):
+            if not parent.requires_grad:
+                continue
+            acc = pending.get(id(parent))
+            if acc is None:
+                heapq.heappush(heap, (-parent._seq, parent))
+            pending[id(parent)] = pg if acc is None else acc + pg
 
 
 def naive_selective_scan(u, delta, B_t, C_t, A, D_skip):

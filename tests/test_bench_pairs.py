@@ -53,3 +53,37 @@ def test_summarize_prints_each_end_to_end_metrics_quartiles_and_ratio():
     assert ("change/parent medians: ref_rows_per_s 1x, unscaled_rows_per_s 1x, setup_s 1x, "
             "peak_rss_mb 0.8774x; machine speed parent 1, change 1") in text
     assert entry["change_wins_peak_rss_mb"] == "4 of 4"
+
+
+def stub_main(monkeypatch, tmp_path, argv):
+    """``bench_pairs.main(argv)`` with git, the export and perfbench stubbed,
+    writing its record under ``tmp_path``; returns its exit code and the
+    trees the stub export was asked to fill."""
+    exported = []
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0123456789abcdef")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: exported.append(dest))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, *a: run(1.0, 1.0, 1.0, 0.1, 50.0)
+                        | {"correct": True, "failed": 0})
+    code = bench_pairs.main(["--parent", "HEAD", "--label", "stub", "--workload", "train_c7",
+                             "--pairs", "1", *argv])
+    return code, exported
+
+
+def test_missing_scratch_directory_is_made_and_its_tree_removed(monkeypatch, tmp_path):
+    scratch = tmp_path / "new" / "scratch"
+    code, exported = stub_main(monkeypatch, tmp_path, ["--scratch", str(scratch)])
+    assert code == 0
+    assert exported == [scratch / "parent-0123456789ab"]
+    assert scratch.is_dir() and not any(scratch.iterdir())
+    assert (tmp_path / "BENCH_stub.json").is_file()
+
+
+def test_existing_parent_tree_is_refused_and_kept(monkeypatch, tmp_path, capsys):
+    tree = tmp_path / "scratch" / "parent-0123456789ab"
+    tree.mkdir(parents=True)
+    (tree / "keep.txt").write_text("mine")
+    code, exported = stub_main(monkeypatch, tmp_path, ["--scratch", str(tree.parent)])
+    assert code == 1 and exported == []
+    assert (tree / "keep.txt").read_text() == "mine"
+    assert "exists" in capsys.readouterr().err

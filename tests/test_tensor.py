@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mambatab import tensor as T
+from mambatab import ssm, tensor as T
 from mambatab.tensor import NumericsError, Tensor
 
 from helpers import (check_gradients, finite_difference_grad, mp_sigmoid, mp_softplus,
-                     relative_error, ulp_error)
+                     reference_backward, reference_getitem, relative_error, ulp_error)
 
 
 def rand(rng, *shape):
@@ -364,3 +364,126 @@ class TestCheckRule:
         x = T.reshape(Tensor(values), (1, -1))
         assert x._op != "leaf"
         assert np.isfinite(FINITE_MAPS[op](x).data).all()
+
+
+def signed(rng, *shape):
+    """Seeded values with a share of +0.0 and -0.0: multiplied into a sum,
+    they hand signed zeros back as upstream gradients."""
+    values = rng.normal(size=shape)
+    pick = rng.random(shape)
+    values[pick < 0.2] = 0.0
+    values[pick > 0.8] = -0.0
+    return values
+
+
+def weighted_sum(t, rng):
+    return (t * Tensor(signed(rng, *t.shape))).sum()
+
+
+# Each case builds (loss, leaves) from seed 0; the leaves' gradients are compared.
+def halves(rng):
+    x = rand(rng, 4, 1, 6)
+    return weighted_sum(x[..., :3], rng) + weighted_sum(x[..., 3:], rng), [x]
+
+
+def thirds_of_a_non_leaf(rng):
+    x = rand(rng, 4, 1, 9)
+    h = x * 1.5
+    loss = weighted_sum(h[..., :2], rng) + weighted_sum(h[..., 2:6], rng)
+    return loss + weighted_sum(h[..., 6:], rng), [x]
+
+
+def overlapping(rng):
+    x = rand(rng, 4, 1, 6)
+    loss = weighted_sum(x[..., :4], rng) + weighted_sum(x[..., 2:], rng)
+    return loss + weighted_sum(x[1:, :, 1:5], rng) + weighted_sum(x[..., ::-1], rng), [x]
+
+
+def int_index_covering_all(rng):
+    x, y = rand(rng, 4, 1, 5), rand(rng, 1, 5)
+    return weighted_sum(x[:, 0, :], rng) + weighted_sum(y[0], rng), [x, y]
+
+
+def whole_and_part(rng):
+    x = rand(rng, 4, 1, 5)
+    return weighted_sum(x[:, 0, :], rng) + weighted_sum(x[..., 1:3], rng), [x]
+
+
+def dense_before_slices(rng):
+    # made last, so its gradient reaches x first, and each slice is zero-filled
+    x, y = rand(rng, 3, 6), rand(rng, 3, 6)
+    parts = weighted_sum(x[:, :2], rng) + weighted_sum(x[:, 2:], rng)
+    return parts + weighted_sum(x + y, rng), [x, y]   # add hands x and y one gradient
+
+
+def dense_after_slices(rng):
+    # made first, so its gradient reaches x last, after the slices gathered
+    x, y = rand(rng, 3, 6), rand(rng, 3, 6)
+    dense = weighted_sum(x + y, rng)
+    return dense + weighted_sum(x[:, :2], rng) + weighted_sum(x[:, 2:], rng), [x, y]
+
+
+def dense_between_slices(rng):
+    x = rand(rng, 3, 6)
+    first = weighted_sum(x[:, 1:4], rng)
+    return first + weighted_sum(x * 2.0, rng) + weighted_sum(x[:, 3:], rng), [x]
+
+
+class TestSliceGradientGathering:
+    """backward() gathers the slices of one input in one buffer; every
+    gradient byte equals the per-slice zero-fill-and-add it replaced."""
+
+    @staticmethod
+    def both_ways(build, monkeypatch):
+        loss, leaves = build(np.random.default_rng(0))
+        loss.backward()
+        got = [None if t.grad is None else t.grad.tobytes() for t in leaves]
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "getitem",
+                          lambda x, idx: calls.append(idx) or reference_getitem(x, idx))
+            loss, leaves = build(np.random.default_rng(0))
+        assert calls   # the reference graph took its slices through the reference
+        reference_backward(loss)
+        want = [None if t.grad is None else t.grad.tobytes() for t in leaves]
+        return got, want
+
+    @pytest.mark.parametrize("build", [halves, thirds_of_a_non_leaf, overlapping,
+                                       int_index_covering_all, whole_and_part,
+                                       dense_before_slices, dense_after_slices,
+                                       dense_between_slices])
+    def test_same_bytes_as_zero_filled_slices(self, build, monkeypatch):
+        got, want = self.both_ways(build, monkeypatch)
+        assert None not in want and got == want
+
+    def test_signed_zeros_reach_the_gradients(self, monkeypatch):
+        # the cases above do hand -0.0 upstream: a plain product keeps it
+        x = rand(np.random.default_rng(0), 2, 3)
+        (x * Tensor([[-0.0, 0.0, 1.0], [2.0, -0.0, 0.0]])).sum().backward()
+        assert np.signbit(x.grad).tolist() == [[True, False, False], [False, True, False]]
+
+    @pytest.mark.parametrize("exact_zoh", [False, True], ids=["simple", "exact_zoh"])
+    @pytest.mark.parametrize("seq_len", range(2, 9))
+    def test_scan_over_several_tokens(self, seq_len, exact_zoh, monkeypatch):
+        def build(rng):
+            p = ssm.init_mamba_block(8, 2, 4, 3, rng)
+            u = rand(rng, 3, seq_len, 16)
+            x = T.silu(u)
+            delta, b_t, c_t = ssm.generate_selective_coeffs(p, x)
+            y = ssm.selective_scan(x, delta, b_t, c_t, -T.texp(p.a_log), p.d_skip,
+                                   exact_zoh=exact_zoh)
+            return weighted_sum(y, rng), [u] + [t for _, t in p.named_parameters()]
+
+        got, want = self.both_ways(build, monkeypatch)
+        assert got == want
+
+    @pytest.mark.parametrize("seq_len", [2, 5])
+    def test_whole_block_over_several_tokens(self, seq_len, monkeypatch):
+        def build(rng):
+            p = ssm.init_mamba_block(8, 2, 4, 3, rng)
+            u = rand(rng, 3, seq_len, 8)
+            return (weighted_sum(ssm.mamba_block_forward(p, u), rng),
+                    [u] + [t for _, t in p.named_parameters()])
+
+        got, want = self.both_ways(build, monkeypatch)
+        assert got == want

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -7,7 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from mambatab import metrics, model as model_mod, synthetic, tabular, tensor as T, training
+from mambatab import metrics, model as model_mod, ssm, synthetic, tabular, tensor as T, training
 from mambatab.model import MambaTabModel, ModelConfig, swap_head, transfer_weights
 from mambatab.tensor import Tensor
 from mambatab.training import (
@@ -121,6 +122,68 @@ class TestAdam:
         arrays = [a for a in vars(state).values() if isinstance(a, np.ndarray)]
         assert [a.size for a in arrays] == [model.flat.size] * 4
         assert held < 4.5 * model.flat.nbytes
+
+    def test_one_subtraction_matches_per_parameter_writes(self, monkeypatch):
+        # Two identical default models train 50 steps on the same batches; the
+        # second has every update written back one parameter at a time.
+        def train(per_parameter):
+            model = MambaTabModel(ModelConfig(n_features=12), rng=0)
+            params = [p for _, p in model.named_parameters()]
+            state = AdamState.for_params(params)
+            rng = np.random.default_rng(5)
+            with monkeypatch.context() as patch:
+                if per_parameter:
+                    patch.setattr(training, "_tiled_vector", lambda params, state: None)
+                for step in range(50):
+                    x, y = rng.uniform(0.0, 1.0, size=(32, 12)), rng.integers(0, 2, size=32)
+                    loss = bce_with_logits(model.forward(x), y)
+                    model.zero_grad()
+                    loss.backward()
+                    adam_step(params, state, 1e-2 if step < 10 else 3e-4)
+            return model, state
+
+        flat, flat_state = train(per_parameter=False)
+        each, each_state = train(per_parameter=True)
+        assert len(flat_state.tiled) == 17 and each_state.tiled == ()
+        for a, b in ((flat.flat, each.flat), (flat_state.m, each_state.m),
+                     (flat_state.v, each_state.v)):
+            assert a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def tiled_copy(params):
+        """Tensors holding ``params``' values and gradients, as consecutive
+        views of one new vector in list order."""
+        flat = np.concatenate([p.data.reshape(-1) for p in params])
+        copies = []
+        for p, end in zip(params, itertools.accumulate(p.size for p in params)):
+            t = Tensor(flat[end - p.size:end].reshape(p.shape), requires_grad=True)
+            t.grad = None if p.grad is None else p.grad.copy()
+            copies.append(t)
+        return copies
+
+    @pytest.mark.parametrize("source", ["standalone", "reordered_model", "mamba_block"])
+    def test_lists_that_do_not_tile_update_each_parameter_alike(self, source):
+        rng = np.random.default_rng(31)
+        if source == "standalone":
+            params = [Tensor(rng.normal(size=shape), requires_grad=True)
+                      for shape in [(4,), (2, 3), (1,)]]
+        elif source == "reordered_model":
+            params = self.default_model_with_grads(24)[1][::-1]
+        else:
+            params = ssm.init_mamba_block(8, 2, 4, 3, rng).named_parameters()
+            params = [p for _, p in params]
+        for p in params:
+            if p.grad is None and source != "reordered_model":
+                p.grad = rng.normal(0.0, 10.0 ** rng.integers(-6, 3), p.shape)
+        copies = self.tiled_copy(params)
+        states = AdamState.for_params(params), AdamState.for_params(copies)
+        for lr in (1e-2, 3e-4, 3e-4):
+            adam_step(params, states[0], lr)
+            adam_step(copies, states[1], lr)
+        assert states[0].tiled == () and len(states[1].tiled) == len(copies)
+        assert [p.data.tobytes() for p in params] == [c.data.tobytes() for c in copies]
+        assert states[0].m.tobytes() == states[1].m.tobytes()
+        assert states[0].v.tobytes() == states[1].v.tobytes()
 
 
 MiB = 1 << 20

@@ -4,8 +4,9 @@
         --seed 0 --pairs 10 [--seconds 20] [--scratch DIR] [--note TEXT]
 
 The parent is commit REV, exported with ``git archive`` into a new
-directory under ``--scratch`` (a new temporary directory by default) and
-removed when the script ends, also on an error, Ctrl-C or SIGTERM. An
+directory under ``--scratch`` (made if missing; a new temporary directory
+by default) and removed when the script ends, also on an error, Ctrl-C or
+SIGTERM; an existing directory there is refused, not overwritten. An
 exported tree needs no ``git worktree`` bookkeeping, so an interrupted run
 leaves nothing in ``.git`` to prune. The change is the working tree of the
 checkout that holds this file, uncommitted edits included.
@@ -174,8 +175,13 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))   # so the finally below runs
     made_scratch = args.scratch is None
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_")) if made_scratch else args.scratch
+    scratch.mkdir(parents=True, exist_ok=True)
     tree = scratch / f"parent-{parent[:12]}"
-    tree.mkdir()   # fails on an existing directory, which the cleanup would delete
+    try:
+        tree.mkdir()
+    except FileExistsError:   # the cleanup below would delete it
+        print(f"error: {tree} exists; remove it or pick another --scratch", file=sys.stderr)
+        return 1
     try:
         export(parent, tree)
         first_pair = len(entry["parent"]["runs"])
