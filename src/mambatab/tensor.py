@@ -9,11 +9,10 @@ failed check raises :class:`NumericsError` instead of letting bad values
 propagate into the optimizer. So numpy's own warnings only repeat a
 check: ``cli.main`` turns them off, and library callers see them first.
 
-``backward()`` computes no gradient for a parent that takes none, and adds
-the slices that ``getitem``s take of one input into one zero buffer until a
-dense gradient reaches it; from then on each slice is zero-filled and added
-on its own, since that order decides where ``-0.0`` becomes ``+0.0``. Adam
-(``training.adam_step``) updates a model's parameters as one vector.
+``backward()`` computes no gradient for a parent that takes none, and adds the
+slices ``getitem`` takes of one input into one zero buffer until a dense
+gradient reaches it; later slices are zero-filled and added on their own, as
+that order decides where ``-0.0`` becomes ``+0.0``. Adam updates a model as one vector.
 
 One rule skips a check that cannot fail. ``reshape``, ``getitem``,
 ``relu``, ``silu`` and ``softplus`` map a finite input to a finite output,
@@ -266,18 +265,21 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def _softplus(x: np.ndarray, out: np.ndarray | None = None,
               tmp: np.ndarray | None = None) -> np.ndarray:
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow.
+    """log(1 + exp(x)) as log1p(exp(-|x|)) + max(x, 0), which cannot overflow;
+    x is added only where it is > 0, since adding 0 leaves a log1p unchanged.
 
-    ``out`` and ``tmp`` are optional buffers, as for ``_sigmoid``.
-    """
+    ``out`` and ``tmp`` are optional buffers, as for ``_sigmoid``; ``tmp``
+    ends holding exp(-|x|)."""
     with np.errstate(under="ignore"):   # log(1 + e) with e underflowing to 0
-        pos = np.maximum(x, 0.0, out=out)
-        tail = np.log1p(np.exp(np.negative(np.abs(x, out=tmp), out=tmp), out=tmp), out=tmp)
-        return np.add(pos, tail, out=out)
+        e = np.exp(np.negative(np.abs(x, out=tmp), out=tmp), out=tmp)
+        tail = np.log1p(e, out=out)
+        return np.add(tail, x, out=tail, where=x > 0.0)
 
 
 def softplus(x: Tensor) -> Tensor:
-    return _make(_softplus(x.data), (x,), lambda g: (g * _sigmoid(x.data),), "softplus")
+    e = np.empty_like(x.data)   # the gradient's sigmoid is exp(min(x, 0)) / (1 + e)
+    return _make(_softplus(x.data, tmp=e), (x,),
+                 lambda g: (g * (np.where(x.data > 0.0, 1.0, e) / (1.0 + e)),), "softplus")
 
 
 def silu(x: Tensor) -> Tensor:
@@ -338,12 +340,14 @@ def getitem(x: Tensor, idx) -> Tensor:
     # covers all of x in order adds 0.0 instead. Both map -0.0 to +0.0.
     if not _is_basic_index(idx):
         raise TypeError(f"getitem takes basic indices only, got {idx!r}")
-    data = x.data[idx]
-    steps = [i.step for i in (idx if isinstance(idx, tuple) else (idx,)) if isinstance(i, slice)]
-    whole = data.size == x.data.size and all(step is None or step > 0 for step in steps)
-    return _make(np.asarray(data, dtype=np.float64), (x,),
-                 lambda g: (np.add(g, 0.0).reshape(x.shape),) if whole else (_Slice((idx, g)),),
-                 "getitem")
+
+    def grad_fn(g):
+        if g.size == x.data.size and all((i.step or 1) > 0 for i in np.index_exp[idx]
+                                         if isinstance(i, slice)):
+            return (np.add(g, 0.0).reshape(x.shape),)
+        return (_Slice((idx, g)),)
+
+    return _make(np.asarray(x.data[idx], dtype=np.float64), (x,), grad_fn, "getitem")
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

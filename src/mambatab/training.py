@@ -110,13 +110,12 @@ TRAINING_VECTORS = 8
 
 class AdamState:
     """Adam's two moments, concatenated, and ``adam_step``'s workspace: the
-    concatenated gradient and one temporary, all as long and made once.
-    ``tiled`` keeps the views that ``_tiled_vector`` last found to tile one."""
+    concatenated gradient and one temporary, all as long and made once."""
 
     def __init__(self, n: int):
         self.m, self.v, self.g, self.tmp = (np.zeros(n) for _ in range(4))
         self.step = 0
-        self.tiled: tuple[np.ndarray, ...] = ()
+        self.tiled: tuple[np.ndarray, ...] = ()   # views last found to tile one vector
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
@@ -124,13 +123,11 @@ class AdamState:
 
 
 def _tiled_vector(params: list[Tensor], state: AdamState) -> np.ndarray | None:
-    """The float64 vector that ``params``' arrays tile in order, as
-    ``MambaTabModel._bind`` lays them out, or None. The arrays of the last
-    list found to tile are known by identity, without reading addresses."""
+    """The float64 vector ``params``' arrays tile in order, as ``MambaTabModel._bind``
+    lays them out, or None; the last arrays found to tile are known by identity."""
     if len(state.tiled) != len(params) or any(p.data is not t for p, t in zip(params, state.tiled)):
         base = params[0].data.base
-        tiles = (isinstance(base, np.ndarray) and base.dtype == np.float64
-                 and base.shape == state.g.shape and base.flags.c_contiguous)
+        tiles = isinstance(base, np.ndarray) and base.shape == state.g.shape and base.dtype == float
         starts = itertools.accumulate((p.data.nbytes for p in params),
                                       initial=base.ctypes.data) if tiles else ()
         tiles = tiles and all(p.data.base is base and p.data.flags.c_contiguous
@@ -147,9 +144,8 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
     order of the plain expressions ``m += (1 - b1) * g``,
     ``v += (1 - b2) * g * g`` and ``lr * m_hat / (sqrt(v_hat) + eps)``, so
     the update is bit-identical to them; once the moments have read ``g``,
-    it holds ``v_hat`` and then the denominator. When the parameters tile one
-    vector, as a model's do, the update is subtracted from it in one call;
-    otherwise each parameter's slice is subtracted in place.
+    it holds ``v_hat`` and then the denominator. The update is subtracted in one
+    call from the vector the parameters tile, as a model's do, else per parameter.
     """
     state.step += 1
     t = state.step

@@ -722,6 +722,8 @@ class TestCliFuzz:
     @example(case=(["sweep", "--dataset", "CSV", "--schema", "SCHEMA", "--out", "OUT",
                     "--seeds=0", "--max-epochs=1", "--knob", "embed-dim",
                     "--values=1,1000000000"], []))   # the second value is over the cap
+    @example(case=(["train", "--dataset", "CSV", "--schema", "SCHEMA", "--out", "OUT",
+                    "--state-size=576460752303423488", "--max-epochs=0", "--seeds=0"], []))
     def test_exit_code_error_line_and_output(self, tiny_dataset, tmp_path_factory, case):
         argv, config = case
         with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
