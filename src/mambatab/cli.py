@@ -209,7 +209,7 @@ def _load_checked(specs: list[RunSpec]) -> tuple[SchemaConfig, Table]:
     for sub in specs:
         config = sub.model_config(table.n_features, head)
         n_params = config.param_count
-        # the workspace's widths, from buffers made for 0 rows (numpy has none 2**60 wide)
+        # 0-row workspace buffers give its widths, each <= n_params; numpy makes none 2**60 wide
         chunk = 0 if n_params >= 1 << 56 else 8 * rows * sum(
             b.shape[1] for b in model_mod._workspace(config, 0).values())
         if n_params * 8 * TRAINING_VECTORS + chunk > MAX_TRAINING_BYTES:

@@ -9,10 +9,10 @@ failed check raises :class:`NumericsError` instead of letting bad values
 propagate into the optimizer. So numpy's own warnings only repeat a
 check: ``cli.main`` turns them off, and library callers see them first.
 
-``backward()`` computes no gradient for a parent that takes none, and adds the
-slices ``getitem`` takes of one input into one zero buffer until a dense
-gradient reaches it; later slices are zero-filled and added on their own, as
-that order decides where ``-0.0`` becomes ``+0.0``. Adam updates a model as one vector.
+``sub``, ``mul`` and ``matmul`` skip gradients no parent takes; ``backward()``
+adds the slices ``getitem`` takes of one input into one zero buffer until a
+dense gradient reaches it, then zero-fills each later slice, as that order
+decides where ``-0.0`` becomes ``+0.0``. Adam updates a model as one vector.
 
 One rule skips a check that cannot fail. ``reshape``, ``getitem``,
 ``relu``, ``silu`` and ``softplus`` map a finite input to a finite output,
@@ -277,7 +277,7 @@ def _softplus(x: np.ndarray, out: np.ndarray | None = None,
 
 
 def softplus(x: Tensor) -> Tensor:
-    e = np.empty_like(x.data)   # the gradient's sigmoid is exp(min(x, 0)) / (1 + e)
+    e = np.empty_like(x.data)   # sigmoid: exp(min(x, 0)) / (1 + e), and e = exp(x) if x <= 0
     return _make(_softplus(x.data, tmp=e), (x,),
                  lambda g: (g * (np.where(x.data > 0.0, 1.0, e) / (1.0 + e)),), "softplus")
 

@@ -151,7 +151,7 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
     t = state.step
     g, m, v, a = state.g, state.m, state.v, state.tmp
     np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.reshape(-1)
-                    for p in params], out=g)
+                    for p in params] or [g], out=g)   # an empty list fills nothing
     m *= ADAM_BETA1
     m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
     v *= ADAM_BETA2

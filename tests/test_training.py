@@ -149,6 +149,11 @@ class TestAdam:
                      (flat_state.v, each_state.v)):
             assert a.tobytes() == b.tobytes()
 
+    def test_empty_parameter_list_steps_without_error(self):
+        state = AdamState.for_params([])
+        adam_step([], state, 1e-3)
+        assert state.step == 1 and state.g.size == 0
+
     @staticmethod
     def tiled_copy(params):
         """Tensors holding ``params``' values and gradients, as consecutive
