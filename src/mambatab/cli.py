@@ -209,9 +209,7 @@ def _load_checked(specs: list[RunSpec]) -> tuple[SchemaConfig, Table]:
     for sub in specs:
         config = sub.model_config(table.n_features, head)
         n_params = config.param_count
-        # 0-row workspace buffers give its widths, each <= n_params; numpy makes none 2**60 wide
-        chunk = 0 if n_params >= 1 << 56 else 8 * rows * sum(
-            b.shape[1] for b in model_mod._workspace(config, 0).values())
+        chunk = 8 * rows * sum(model_mod._workspace_widths(config).values())
         if n_params * 8 * TRAINING_VECTORS + chunk > MAX_TRAINING_BYTES:
             raise UsageError(f"a {head} model of {n_params} parameters on {table.n_features} "
                              f"features needs {TRAINING_VECTORS} float64 vectors of "

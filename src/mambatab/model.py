@@ -257,11 +257,16 @@ def _workspace(config: ModelConfig, rows: int) -> dict[str, np.ndarray]:
     then d_skip * u; ``tmp`` each SiLU's and softplus's scratch; ``bc`` the
     scan's B * C.
     """
+    return {name: np.empty((rows, width)) for name, width in _workspace_widths(config).items()}
+
+
+def _workspace_widths(config: ModelConfig) -> dict[str, int]:
+    """``_workspace``'s buffer widths as plain ints, which the size cap sums
+    for models too wide for numpy to make an array of."""
     d, n = config.embed_dim, config.state_size
     e = config.expand * d
-    widths = {"h": d, "d": d, "xz": 2 * e, "conv": e, "act": e, "dt": e, "tmp": e,
-              "dbc": ssm.dt_rank_for(d) + 2 * n, "bc": n}
-    return {name: np.empty((rows, width)) for name, width in widths.items()}
+    return {"h": d, "d": d, "xz": 2 * e, "conv": e, "act": e, "dt": e, "tmp": e,
+            "dbc": ssm.dt_rank_for(d) + 2 * n, "bc": n}
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,

@@ -409,34 +409,28 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 def causal_conv1d(u: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Depthwise causal 1-D convolution over [B, L, D].
 
-    ``kernel`` is [D, w]; the last tap multiplies the current position,
-    earlier taps reach back in time, missing history is zero. Output at
-    position t therefore depends only on inputs at positions <= t.
+    ``kernel`` is [D, w]; tap i reaches back ``w - 1 - i`` positions over zero history, so
+    output t sees only inputs <= t. Both passes add, in tap order, into zeros (``0 + -0.0``
+    is ``+0.0``) only the taps that reach an output: ``max(0, w - L)`` to ``w - 1``.
     """
     B, L, D = u.shape
     if kernel.data.ndim != 2 or kernel.shape[0] != D or kernel.shape[1] < 1:
         raise ValueError(f"causal_conv1d kernel shape {kernel.shape} incompatible with input {u.shape}")
     w = kernel.shape[1]
+    taps = range(max(0, w - L), w)
     data = np.zeros_like(u.data)
-    for i in range(w):
-        shift = w - 1 - i
-        if shift == 0:
-            data += kernel.data[:, i] * u.data
-        elif shift < L:
-            data[:, shift:, :] += kernel.data[:, i] * u.data[:, : L - shift, :]
+    for i in taps:
+        s = w - 1 - i
+        data[:, s:, :] += kernel.data[:, i] * u.data[:, : L - s, :]
     data = data + bias.data
 
     def grad_fn(g):
         du = np.zeros_like(u.data)
         dk = np.zeros_like(kernel.data)
-        for i in range(w):
-            shift = w - 1 - i
-            if shift == 0:
-                du += kernel.data[:, i] * g
-                dk[:, i] = np.sum(g * u.data, axis=(0, 1))
-            elif shift < L:
-                du[:, : L - shift, :] += kernel.data[:, i] * g[:, shift:, :]
-                dk[:, i] = np.sum(g[:, shift:, :] * u.data[:, : L - shift, :], axis=(0, 1))
+        for i in taps:
+            s = w - 1 - i
+            du[:, : L - s, :] += kernel.data[:, i] * g[:, s:, :]
+            dk[:, i] = np.sum(g[:, s:, :] * u.data[:, : L - s, :], axis=(0, 1))
         return du, dk, g.sum(axis=(0, 1))
 
     return _make(data, (u, kernel, bias), grad_fn, "causal_conv1d")

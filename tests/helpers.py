@@ -4,8 +4,9 @@ Everything here is independent of the library code paths it checks:
 finite-difference gradients, a per-element scan recurrence in plain
 Python loops, O(m^2) pairwise AUROC counting, 50-digit references for
 the zero-order-hold closed form and for the sigmoid and softplus, a
-backward pass that zero-fills each slice's gradient, and a
-row-by-row CSV reader and per-cell reference for the tabular preprocessing.
+backward pass that zero-fills each slice's gradient, a causal conv that
+visits every tap, and a row-by-row CSV reader and per-cell reference for
+the tabular preprocessing.
 ``gc_off`` lets a test see what reference counts alone release.
 """
 
@@ -125,6 +126,37 @@ def reference_backward(loss) -> None:
             if acc is None:
                 heapq.heappush(heap, (-parent._seq, parent))
             pending[id(parent)] = pg if acc is None else acc + pg
+
+
+def reference_causal_conv1d(u, kernel, bias):
+    """``tensor.causal_conv1d`` as it was before it skipped the taps that reach
+    no output: every tap is visited, the current one added whole, an earlier
+    one shifted when it reaches back less than L positions, and skipped
+    otherwise."""
+    L, w = u.shape[1], kernel.shape[1]
+    data = np.zeros_like(u.data)
+    for i in range(w):
+        shift = w - 1 - i
+        if shift == 0:
+            data += kernel.data[:, i] * u.data
+        elif shift < L:
+            data[:, shift:, :] += kernel.data[:, i] * u.data[:, : L - shift, :]
+    data = data + bias.data
+
+    def grad_fn(g):
+        du = np.zeros_like(u.data)
+        dk = np.zeros_like(kernel.data)
+        for i in range(w):
+            shift = w - 1 - i
+            if shift == 0:
+                du += kernel.data[:, i] * g
+                dk[:, i] = np.sum(g * u.data, axis=(0, 1))
+            elif shift < L:
+                du[:, : L - shift, :] += kernel.data[:, i] * g[:, shift:, :]
+                dk[:, i] = np.sum(g[:, shift:, :] * u.data[:, : L - shift, :], axis=(0, 1))
+        return du, dk, g.sum(axis=(0, 1))
+
+    return T._make(data, (u, kernel, bias), grad_fn, "causal_conv1d")
 
 
 def naive_selective_scan(u, delta, B_t, C_t, A, D_skip):

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from mambatab import cli, metrics, model as model_mod, synthetic, tabular, tensor as T, training
+from mambatab import (cli, metrics, model as model_mod, ssm, synthetic, tabular, tensor as T,
+                      training)
 from mambatab.cli import EXIT_OK, EXIT_USAGE, RunSpec, cmd_eval, cmd_sweep, cmd_train, main
 from mambatab.tabular import SchemaConfig
 
@@ -904,6 +905,26 @@ class TestDataErrors:
         assert err.startswith("error: a classification model of ") and err.count("\n") == 1
         assert err.endswith(f"; the cap is {cli.MAX_TRAINING_BYTES} bytes\n")
         assert not (tmp_path / "run").exists()
+
+    def test_cap_counts_a_workspace_too_wide_for_numpy(self, tiny_dataset, tmp_path, capsys):
+        # no array 2**59 floats wide can exist, yet the message gives its true bytes
+        n = 1 << 59
+        code = main(["train", "--dataset", tiny_dataset[0], "--schema", tiny_dataset[1],
+                     "--out", str(tmp_path / "run"), f"--state-size={n}", "--max-epochs=0",
+                     "--seeds=0"])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "run").exists()
+        n_params = model_mod.ModelConfig(n_features=4, state_size=n).param_count
+        rows = len(tabular.split_rows(40, 0)[2])
+        d, e = 32, 64   # the default embed_dim, and expand times it
+        widths = [d, d, 2 * e, e, e, e, e, ssm.dt_rank_for(d) + 2 * n, n]
+        chunk = 8 * rows * sum(widths)
+        assert (rows, chunk) == (8, 110680464442257338496)
+        assert capsys.readouterr().err == (
+            f"error: a classification model of {n_params} parameters on 4 features needs "
+            f"{cli.TRAINING_VECTORS} float64 vectors of {8 * n_params} bytes and a "
+            f"{rows}-row scoring workspace of {chunk} bytes to train; "
+            f"the cap is {cli.MAX_TRAINING_BYTES} bytes\n")
 
     @pytest.mark.parametrize("regime,head", [("supervised", "classification"),
                                              ("ssl", "reconstruction")])

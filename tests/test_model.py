@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mambatab import model as M
-from mambatab import ssm, training
+from mambatab import ssm, synthetic, tabular, training
 from mambatab.model import CheckpointError, MambaTabModel, ModelConfig
 from mambatab.tensor import NumericsError, Tensor
 
@@ -270,6 +270,74 @@ class TestParameterCount:
             if name == "embed.w":
                 continue
             assert sa[name].shape == sb[name].shape
+
+
+ONE_TOKEN_FIT = training.TrainConfig(seed=0, max_epochs=3, lr=1e-2)
+
+
+@pytest.fixture(scope="module")
+def one_token_data():
+    train, val, _ = tabular.split(synthetic.logistic_table(150, 3, 2, seed=5), seed=0)
+    pre = tabular.fit(train)
+    return tabular.transform(pre, train), tabular.transform(pre, val)
+
+
+def one_token_inert(model):
+    """Each block's ``a_log`` and conv taps 0 .. d_conv - 2, as views."""
+    return [a for b in model.blocks for a in (b.a_log.data, b.conv_kernel.data[:, :-1])]
+
+
+class TestOneToken:
+    """At one token the scan starts from h0 = 0 and takes one step, so
+    ``A = -exp(a_log)`` never reaches the output, and conv taps
+    0 .. d_conv - 2 only ever see zero history."""
+
+    @pytest.mark.parametrize("head", ["classification", "reconstruction"])
+    @pytest.mark.parametrize("d_conv", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_redrawn_inert_slots_change_no_byte_and_never_learn(self, one_token_data, n_blocks,
+                                                                 d_conv, head):
+        train, val = one_token_data
+        config = ModelConfig(n_features=5, embed_dim=8, state_size=4, d_conv=d_conv,
+                             n_blocks=n_blocks, head=head)
+        fit = training.train_supervised if head == "classification" else training.pretrain_ssl
+        trained = fit(MambaTabModel(config, rng=1), train, val, ONE_TOKEN_FIT)[0]
+        redrawn = MambaTabModel._from_flat(config, trained.flat.copy())
+        rng = np.random.default_rng(10 * n_blocks + d_conv)
+        for a in one_token_inert(redrawn):
+            a[...] = rng.uniform(-20.0, 20.0, a.shape)   # exp(20) is finite
+        assert not np.array_equal(redrawn.flat, trained.flat)
+
+        x = train.values[:64]
+        seen = []
+        for model in (trained, redrawn):
+            out = model.forward(x)
+            loss = (training.bce_with_logits(out, train.labels[:64])
+                    if head == "classification" else training.mse_loss(out, x))
+            loss.backward()
+            seen.append((out.data.tobytes(), model.forward(x, graph=False).tobytes(),
+                         loss.data.tobytes()))
+        assert seen[0] == seen[1]
+        for (name, p), (_, q) in zip(trained.named_parameters(), redrawn.named_parameters(),
+                                     strict=True):
+            if name.endswith("ssm.a_log"):
+                assert p.grad is None and q.grad is None
+                continue
+            assert q.grad.tobytes() == p.grad.tobytes(), name
+            if name.endswith("conv.kernel"):
+                assert q.grad[:, :-1].tobytes() == np.zeros((q.shape[0], d_conv - 1)).tobytes()
+
+        before = [a.tobytes() for a in one_token_inert(redrawn)]
+        last = [b.conv_kernel.data[:, -1].copy() for b in redrawn.blocks]
+        retrained = fit(redrawn, train, val, ONE_TOKEN_FIT)[0]
+        assert [a.tobytes() for a in one_token_inert(retrained)] == before
+        assert all(not np.array_equal(b.conv_kernel.data[:, -1], k)
+                   for b, k in zip(retrained.blocks, last, strict=True))
+
+    def test_default_model_has_2240_inert_of_13665(self):
+        model = MambaTabModel(ModelConfig(n_features=12))
+        assert sum(a.size for a in one_token_inert(model)) == 2240
+        assert M.count_parameters(model) == 13665
 
 
 class TestTransfer:

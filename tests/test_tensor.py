@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -8,7 +9,8 @@ from mambatab import ssm, tensor as T
 from mambatab.tensor import NumericsError, Tensor
 
 from helpers import (check_gradients, finite_difference_grad, mp_sigmoid, mp_softplus,
-                     reference_backward, reference_getitem, relative_error, ulp_error)
+                     reference_backward, reference_causal_conv1d, reference_getitem,
+                     relative_error, ulp_error)
 
 
 def rand(rng, *shape):
@@ -54,7 +56,32 @@ class TestSilu:
         assert T.silu(Tensor(-10.0)).item() == pytest.approx(-0.000454, abs=1e-6)
 
 
+def planted_zeros(rng, shape):
+    """Normal draws with about a quarter of the entries -0.0 and a quarter +0.0."""
+    x = rng.normal(size=shape)
+    pick = rng.random(shape)
+    x[pick < 0.25] = -0.0
+    x[pick > 0.75] = 0.0
+    return x
+
+
 class TestCausalConv1d:
+    @pytest.mark.parametrize("w", range(1, 6))
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_same_bytes_as_every_tap_reference(self, L, w):
+        # taps that reach back L or more positions are skipped; the output and
+        # all three gradients keep their bytes, signed zeros included
+        rng = np.random.default_rng(10 * L + w)
+        for B, D in itertools.product(range(1, 4), range(1, 6)):
+            u, kernel, bias = (planted_zeros(rng, s) for s in ((B, L, D), (D, w), (D,)))
+            g = planted_zeros(rng, (B, L, D))
+            outs = [conv(Tensor(u, requires_grad=True), Tensor(kernel, requires_grad=True),
+                         Tensor(bias, requires_grad=True))
+                    for conv in (T.causal_conv1d, reference_causal_conv1d)]
+            assert outs[0].data.tobytes() == outs[1].data.tobytes()
+            for got, ref in zip(outs[0]._grad_fn(g), outs[1]._grad_fn(g), strict=True):
+                assert got.tobytes() == ref.tobytes()
+
     def test_single_timestep_sees_only_itself(self):
         rng = np.random.default_rng(1)
         u = Tensor(rng.normal(size=(2, 1, 3)))
@@ -302,10 +329,12 @@ class TestGradients:
             check_gradients(lambda: T.layer_norm(x, gamma, beta).sum(), [x, gamma, beta])
 
     def test_causal_conv1d(self):
-        for seed in range(N_GRADCHECK_TRIALS):
+        # L 1-3 with d_conv 4 and d_conv 1 leave taps that reach no output
+        for seed, (L, w) in itertools.product(range(N_GRADCHECK_TRIALS),
+                                              [(5, 4), (1, 4), (2, 4), (3, 4), (5, 1)]):
             rng = np.random.default_rng(600 + seed)
-            u = rand(rng, 2, 5, 3)
-            kernel = rand(rng, 3, 4)
+            u = rand(rng, 2, L, 3)
+            kernel = rand(rng, 3, w)
             bias = rand(rng, 3)
             check_gradients(lambda: T.causal_conv1d(u, kernel, bias).sum(), [u, kernel, bias])
 
