@@ -202,10 +202,18 @@ def _load_checked(specs: list[RunSpec]) -> tuple[SchemaConfig, Table]:
         raise SchemaError(f"{spec.dataset}: {table.n_rows} data rows and {table.n_features} "
                           f"feature columns; {spec.regime} training needs at least "
                           f"{tabular.MIN_ROWS} and {min_features}")
+    _, val_rows, test_rows = tabular.split_rows(table.n_rows, 0)
+    # each incremental stage, one per feature group, validates on its own
+    # consecutive share of the table's m // 10 validation rows
+    stages = tabular.MIN_INCREMENTAL_FEATURES
+    if spec.regime == "incremental" and len(val_rows) < stages:
+        raise SchemaError(f"{spec.dataset}: {table.n_rows} data rows give {len(val_rows)} "
+                          f"validation rows for {stages} stages; incremental training needs "
+                          f"at least {10 * stages} data rows")
     head = "reconstruction" if spec.regime == "ssl" else "classification"
     # validation and scoring forward a chunk at a time, through one workspace;
     # the test split is the largest part they forward
-    rows = min(model_mod.CHUNK_ROWS, len(tabular.split_rows(table.n_rows, 0)[2]))
+    rows = min(model_mod.CHUNK_ROWS, len(test_rows))
     for sub in specs:
         config = sub.model_config(table.n_features, head)
         n_params = config.param_count

@@ -143,17 +143,16 @@ class MambaTabModel:
         for _, p in self._named:
             p.zero_grad()
 
-    def forward(self, x, *, graph: bool = True, _work: dict[str, np.ndarray] | None = None):
-        """Logits [B, 1] (classification) or reconstruction [B, n_features].
+    def forward(self, x, *, _work: dict[str, np.ndarray] | None = None):
+        """Logits [B, 1] (classification) or reconstruction [B, n_features]
+        of a [B, n_features] array or Tensor ``x`` of values in [0, 1], as a
+        Tensor recording the autodiff graph that training steps on.
 
-        ``x`` is a [B, n_features] array of values in [0, 1], or a Tensor.
-        With ``graph=False`` the same values come back bit for bit as a
-        plain array, and no autodiff graph is recorded:
-        scoring and validation run that way, training steps on the graph.
-        ``_work`` is private to ``forward_chunks``, which passes the buffers
-        its chunks share.
+        ``_work`` is private to ``forward_chunks``, the one no-gradient path,
+        whose chunks enter here with their shared buffers and leave as plain
+        arrays of the same bytes, so that a trace counts them as forwards.
         """
-        if not graph:
+        if _work is not None:
             return self._forward_array(x, _work)
         if not isinstance(x, Tensor):
             x = Tensor(x)
@@ -173,16 +172,14 @@ class MambaTabModel:
             raise ValueError(
                 f"input has {shape[-1]} features, model expects {self.config.n_features}")
 
-    def _forward_array(self, x, work: dict[str, np.ndarray] | None = None) -> np.ndarray:
-        """``forward``'s output as an array, computed in plain numpy at L = 1.
+    def _forward_array(self, x: np.ndarray, work: dict[str, np.ndarray]) -> np.ndarray:
+        """``forward``'s output as a new array, computed in plain numpy at L = 1.
 
         Every numpy call is the graph's own, made in the same order on
         operands of the same values and memory layout, so the output is
-        bit-identical; ``-exp(a_log)``, which
-        L = 1 never reads, is skipped. Intermediates go into ``work``
-        (``_workspace`` buffers for at least as many rows as ``x``; made
-        here when not given) through ``out=``, which leaves every value
-        the same; the output is always a new array. The graph checks every
+        bit-identical; ``-exp(a_log)``, which L = 1 never reads, is skipped.
+        Intermediates go through ``out=`` into ``work``, ``_workspace``
+        buffers for at least as many rows as ``x``. The graph checks every
         op's output for non-finite values. A non-finite value reaches the
         output here unless ReLU or softplus maps -inf to 0, or it sits in
         the skipped ``exp``, so checking the input, the ReLU input, each
@@ -190,12 +187,11 @@ class MambaTabModel:
         the graph would. A failed check replays the chunk through the
         graph, which raises the NumericsError that names the op.
         """
-        x = T._as_array(x.data if isinstance(x, Tensor) else x)
+        x = T._as_array(x)
         if not np.isfinite(x).all():
             self._replay(x)
         self._check_width(x.shape)
-        rows = x.shape[0]
-        buf = {name: b[:rows] for name, b in (work or _workspace(self.config, rows)).items()}
+        buf = {name: b[:len(x)] for name, b in work.items()}
         h = _linear(x, self.embed_w.data, self.embed_b.data, out=buf["h"])
         if self.config.use_layer_norm:
             T._layer_norm(h, self.ln_gamma.data, self.ln_beta.data, xhat=buf["d"], out=h)
@@ -209,8 +205,7 @@ class MambaTabModel:
         return out
 
     def _replay(self, x: np.ndarray):
-        """Run ``x`` through the graph, which raises the NumericsError naming
-        the op."""
+        """Run ``x`` through the graph, which raises the op's NumericsError."""
         self.forward(x)
         raise AssertionError("the graph accepted a chunk the graph-free forward rejected")
 
@@ -229,17 +224,16 @@ class MambaTabModel:
         return _sigmoid(self.predict_logits(values))
 
     def forward_chunks(self, values: np.ndarray):
-        """Yield (row slice, forward output array) per ``CHUNK_ROWS`` rows, in order.
+        """Yield (row slice, forward output array) per ``CHUNK_ROWS`` rows, in
+        order; zero rows yield one empty chunk. No graph is recorded.
 
-        Each chunk is a graph-free ``forward`` call. The chunks share one
-        workspace, made for this call and dropped when the generator ends
-        or is closed; every yielded array is new.
+        The chunks share one workspace, made for this call and dropped when
+        the generator ends or is closed; every yielded array is new.
         """
-        chunk = CHUNK_ROWS
-        work = _workspace(self.config, min(chunk, len(values)))
-        for start in range(0, len(values), chunk):
-            rows = slice(start, start + chunk)
-            yield rows, self.forward(values[rows], graph=False, _work=work)
+        work = _workspace(self.config, min(CHUNK_ROWS, len(values)))
+        for start in range(0, len(values) or 1, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            yield rows, self.forward(values[rows], _work=work)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}

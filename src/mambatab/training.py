@@ -311,13 +311,18 @@ def incremental_stages(train: EncodedMatrix, val: EncodedMatrix,
     share of the encoded training and validation rows (``np.array_split``).
 
     Encoding works cell by cell, so a slice of an encoded split equals the
-    encoding of the sliced table.
+    encoding of the sliced table. A stage that would get no training or no
+    validation rows raises ValueError.
     """
     def part(enc: EncodedMatrix, rows: np.ndarray, cols: list[int]) -> EncodedMatrix:
         return EncodedMatrix(enc.values[np.ix_(rows, cols)], enc.labels[rows],
                              [enc.column_names[j] for j in cols], enc.split)
 
     shares = [np.array_split(np.arange(enc.n_rows), len(column_sets)) for enc in (train, val)]
+    for i, (tr, va) in enumerate(zip(*shares), start=1):
+        if not (len(tr) and len(va)):
+            raise ValueError(f"stage {i} of {len(column_sets)} would get {len(tr)} training "
+                             f"and {len(va)} validation rows; each stage needs at least one")
     return [Stage(part(train, tr, cols), part(val, va, cols), cols)
             for cols, tr, va in zip(column_sets, *shares)]
 

@@ -55,6 +55,19 @@ def test_summarize_prints_each_end_to_end_metrics_quartiles_and_ratio():
     assert entry["change_wins_peak_rss_mb"] == "4 of 4"
 
 
+def test_summarize_flags_probe_drift_outside_its_band():
+    for change_speed, drift in ((0.8, False), (1.25, False), (0.79, True), (2.3, True)):
+        entry = {"parent": {"runs": [run(100.0, 100.0, 1.0, 0.2, 50.0) for _ in range(3)]},
+                 "change": {"runs": [run(100.0 / change_speed, 100.0, change_speed, 0.2, 50.0)
+                                     for _ in range(3)]}}
+        lines = bench_pairs.summarize(entry).splitlines()
+        line = (f"  probe drift: machine speed median {change_speed:.4g} (change) against 1 "
+                f"(parent); the scaled ref_rows_per_s cannot be compared, "
+                f"read unscaled_rows_per_s")
+        assert (line in lines) is drift
+        assert sum("probe drift" in text for text in lines) == drift
+
+
 def stub_main(monkeypatch, tmp_path, argv):
     """``bench_pairs.main(argv)`` with git, the export and perfbench stubbed,
     writing its record under ``tmp_path``; returns its exit code and the

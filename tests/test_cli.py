@@ -971,6 +971,21 @@ class TestDataErrors:
         assert f"error: {csv_path}: {counts}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_incremental_run_needs_a_validation_row_per_stage(self, tmp_path, capsys):
+        # 29 rows hold 2 validation rows, so one of the 3 stages would validate on none
+        csv_path, schema_path = tmp_path / "short.csv", tmp_path / "short.schema"
+        synthetic.write_csv(synthetic.logistic_table(29, 3, 1, seed=0), csv_path)
+        schema_path.write_text("label_column = label\npositive_label = 1\n")
+        for command in (["train"], ["sweep", "--knob", "state-size", "--values", "2,4"]):
+            code = main([*command, "--regime", "incremental", "--dataset", str(csv_path),
+                         "--schema", str(schema_path), "--out", str(tmp_path / "run"),
+                         "--seeds", "0", "--max-epochs", "1", "--quiet"])
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"error: {csv_path}: 29 data rows give 2 validation rows for 3 stages; "
+                f"incremental training needs at least 30 data rows\n")
+            assert not (tmp_path / "run").exists()
+
     def test_one_class_test_split_exits_one_before_output(self, tmp_path, capsys):
         # 12 rows split 8 / 1 / 3. Both positives sit in seed 0's training
         # rows, and one of them in seed 1's test rows.

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from mambatab import model as M
 from mambatab import ssm, synthetic, tabular, training
 from mambatab.model import CheckpointError, MambaTabModel, ModelConfig
-from mambatab.tensor import NumericsError, Tensor
+from mambatab.tensor import NumericsError
 
 SMALL = dict(n_features=5, embed_dim=4, state_size=4, expand=2, d_conv=4)
 
@@ -136,16 +136,10 @@ class TestGraphFreeForward:
                           rng=seed)
         m.flat += rng.normal(0.0, noise, m.flat.size)
         x = rng.uniform(0.0, 1.0, size=(rows, 7))
-        a, b = m.forward(x).data, m.forward(x, graph=False)
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()   # bytes also tell -0.0 from 0.0
-
-    def test_tensor_input_gives_the_arrays_bytes(self):
-        m = small_model(seed=1, n_blocks=2)
-        x = np.random.default_rng(5).uniform(0.0, 1.0, size=(9, 5))
-        got = m.forward(Tensor(x), graph=False)
-        assert isinstance(got, np.ndarray)
-        assert got.tobytes() == m.forward(x, graph=False).tobytes()
+        for rows, b in m.forward_chunks(x):
+            a = m.forward(x[rows]).data
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()   # bytes also tell -0.0 from 0.0
 
     @pytest.mark.parametrize("plant", [_plant_input, _plant_embed_overflow, _plant_softplus_input,
                                        _plant_a_log, _plant_head_overflow])
@@ -157,15 +151,15 @@ class TestGraphFreeForward:
             with pytest.raises(NumericsError) as graph:
                 m.forward(x)
             with pytest.raises(NumericsError) as free:
-                m.forward(x, graph=False)
+                list(m.forward_chunks(x))
         assert str(free.value) == str(graph.value)
 
     def test_width_checked_after_finiteness_as_in_the_graph(self):
         m = small_model()
         with pytest.raises(ValueError, match="input has 7 features"):
-            m.forward(np.zeros((2, 7)), graph=False)
+            list(m.forward_chunks(np.zeros((2, 7))))
         with pytest.raises(NumericsError, match="tensor created"):
-            m.forward(np.full((2, 7), np.inf), graph=False)
+            list(m.forward_chunks(np.full((2, 7), np.inf)))
 
     @pytest.mark.parametrize("head", ["classification", "reconstruction"])
     def test_every_chunk_is_a_fresh_array(self, head):
@@ -185,8 +179,12 @@ class TestGraphFreeForward:
             for (rows, _), z in zip(kept, outputs, strict=True):
                 assert z.tobytes() == m.forward(x[rows]).data.tobytes()
             assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(outputs, 2))
-        x_small = x[:40]
-        assert m.forward(x_small, graph=False).tobytes() == m.forward(x_small).data.tobytes()
+        for rows in (40, 0):   # a workspace smaller than a chunk, and one of no rows
+            [(_, z)] = m.forward_chunks(x[:rows])
+            assert z.tobytes() == m.forward(x[:rows]).data.tobytes() and len(z) == rows
+        if head == "classification":
+            for scores in (m.predict_logits(x[:0]), m.predict_proba(x[:0])):
+                assert scores.shape == (0,) and scores.dtype == np.float64
 
     def test_workspace_lives_for_one_call(self, monkeypatch):
         made, workspace = [], M._workspace
@@ -315,8 +313,8 @@ class TestOneToken:
             loss = (training.bce_with_logits(out, train.labels[:64])
                     if head == "classification" else training.mse_loss(out, x))
             loss.backward()
-            seen.append((out.data.tobytes(), model.forward(x, graph=False).tobytes(),
-                         loss.data.tobytes()))
+            free = b"".join(z.tobytes() for _, z in model.forward_chunks(x))
+            seen.append((out.data.tobytes(), free, loss.data.tobytes()))
         assert seen[0] == seen[1]
         for (name, p), (_, q) in zip(trained.named_parameters(), redrawn.named_parameters(),
                                      strict=True):

@@ -654,6 +654,10 @@ class TestIncremental:
                 assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
                 assert np.array_equal(got.labels, want.labels)
                 assert got.column_names == want.column_names
+        enc = tabular.transform(pre, val)
+        one_row = tabular.EncodedMatrix(enc.values[:1], enc.labels[:1], enc.column_names, "val")
+        with pytest.raises(ValueError, match=r"^stage 2 of \d would get \d training and 0 "):
+            training.incremental_stages(tabular.transform(pre, train), one_row, column_sets)
 
     def test_single_stage_reduces_to_supervised(self):
         table = synthetic.logistic_table(150, 3, 1, seed=10)

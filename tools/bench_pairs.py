@@ -20,7 +20,9 @@ quartiles of ``ref_rows_per_s``, ``setup_s`` and ``peak_rss_mb`` where a
 side has 4 runs or more; then the change's median over the parent's for
 those three and for the unscaled rate, beside both sides' machine speed
 medians, since the probe can read the program's heap state as machine
-speed; then the number of pairs in which the change wins on
+speed, and a ``probe drift:`` line when the change's machine speed median
+over the parent's falls outside [0.8, 1.25], saying that only the unscaled
+rate compares; then the number of pairs in which the change wins on
 ``ref_rows_per_s`` and ``unscaled_rows_per_s`` (higher) and on
 ``setup_s`` and ``peak_rss_mb`` (lower).
 
@@ -49,6 +51,10 @@ METRICS = ("ref_rows_per_s", "unscaled_rows_per_s", "machine_speed", "setup_s", 
 END_TO_END = ("ref_rows_per_s", "setup_s", "peak_rss_mb")
 # Metrics the change wins a pair on: +1 where higher is better, -1 where lower is.
 WINS = {"ref_rows_per_s": 1, "unscaled_rows_per_s": 1, "setup_s": -1, "peak_rss_mb": -1}
+# Change/parent machine speed medians outside this band mean the probe read a
+# heap change as machine speed: within one session the probe reads 0.87-1.18,
+# while an allocator change moved it 2.2-2.4x.
+PROBE_BAND = (0.8, 1.25)
 UNSCALED = re.compile(r"rows_per_s unscaled over \d+ repeats: median ([0-9.e+-]+),.*"
                       r"machine speed median ([0-9.e+-]+)")
 
@@ -137,6 +143,12 @@ def summarize(entry: dict) -> str:
     speeds = [f"{side} {med['machine_speed']:.4g}"
               for side, med in (("parent", med_p), ("change", med_c)) if "machine_speed" in med]
     lines.append(f"  change/parent medians: {', '.join(ratios)}; machine speed {', '.join(speeds)}")
+    if len(speeds) == 2:
+        drift = med_c["machine_speed"] / med_p["machine_speed"]
+        if not PROBE_BAND[0] <= drift <= PROBE_BAND[1]:
+            lines.append(f"  probe drift: machine speed median {med_c['machine_speed']:.4g} "
+                         f"(change) against {med_p['machine_speed']:.4g} (parent); the scaled "
+                         f"ref_rows_per_s cannot be compared, read unscaled_rows_per_s")
     lines.append("  change wins in pairs: " + ", ".join(
         f"{name} {entry[f'change_wins_{name}']} ({'higher' if sign > 0 else 'lower'})"
         for name, sign in WINS.items()))
