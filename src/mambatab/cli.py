@@ -390,8 +390,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Config-file keys parsed by the type of their default; seeds and
-# no_layer_norm have syntax of their own.
+# The run options with a typed value, each a flag and a config key parsed by
+# the type of its default; seeds and no_layer_norm have syntax of their own.
 _SPEC_FIELDS = {f.name: type(f.default) for f in fields(RunSpec)
                 if type(f.default) in (str, int, float)}
 _FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -409,19 +409,12 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema", required=True, help="key=value schema file")
     p.add_argument("--out", required=True, dest="out_dir", help="output directory")
     p.add_argument("--config", help="key=value run defaults; flags override")
-    p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--seeds", help="comma-separated seed list (default 0..9)")
-    p.add_argument("--embed-dim", type=int, dest="embed_dim")
-    p.add_argument("--state-size", type=int, dest="state_size")
-    p.add_argument("--expand", type=int)
-    p.add_argument("--d-conv", type=int, dest="d_conv")
-    p.add_argument("--m-blocks", type=int, dest="n_blocks")
     p.add_argument("--no-layer-norm", action="store_true")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--quiet", action="store_true")
+    for name, typ in _SPEC_FIELDS.items():   # the paper names the block count M
+        flag = "--m-blocks" if name == "n_blocks" else "--" + name.replace("_", "-")
+        p.add_argument(flag, dest=name, type=typ, choices=REGIMES if name == "regime" else None)
 
 
 def _build_spec(args) -> RunSpec:
@@ -431,7 +424,7 @@ def _build_spec(args) -> RunSpec:
             args.config, lambda key: key in _SPEC_FIELDS or key in ("seeds", "no_layer_norm"))
     kwargs = {"dataset": args.dataset, "schema": args.schema, "out_dir": args.out_dir}
     for name, typ in _SPEC_FIELDS.items():
-        cli_val = getattr(args, name, None)
+        cli_val = getattr(args, name)
         if cli_val is not None:
             kwargs[name] = cli_val
         elif name in file_values:

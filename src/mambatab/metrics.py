@@ -22,6 +22,16 @@ class EvalResult:
     seed: int
 
 
+def _positives(labels) -> np.ndarray:
+    """The flattened 0/1 ``labels`` as a mask of the 1s; any other value raises."""
+    labels = np.asarray(labels).reshape(-1)
+    pos = labels == 1
+    binary = (labels == 0) | pos
+    if not binary.all():
+        raise ValueError(f"labels must be 0 or 1, got {np.unique(labels[~binary]).tolist()}")
+    return pos
+
+
 def auroc(scores, labels) -> float:
     """Probability a random positive outscores a random negative, ties counting half.
 
@@ -32,12 +42,11 @@ def auroc(scores, labels) -> float:
     correctly rounded division equals pairwise counting to the last bit.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
-    if scores.shape != labels.shape:
+    pos = _positives(labels)
+    if scores.shape != pos.shape:
         raise ValueError("scores and labels must have equal length")
-    pos = labels == 1
     n_pos = int(pos.sum())
-    n_neg = int(labels.size - n_pos)
+    n_neg = int(pos.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"AUROC undefined with {n_pos} positives and {n_neg} negatives")
@@ -50,8 +59,7 @@ def auroc(scores, labels) -> float:
 
 def accuracy(scores, labels) -> float:
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
-    return float(np.mean((scores >= 0.5).astype(np.int64) == labels))
+    return float(np.mean((scores >= 0.5) == _positives(labels)))
 
 
 def evaluate(logits, labels, seed: int = 0) -> EvalResult:

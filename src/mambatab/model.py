@@ -145,8 +145,8 @@ class MambaTabModel:
 
     def forward(self, x, *, _work: dict[str, np.ndarray] | None = None):
         """Logits [B, 1] (classification) or reconstruction [B, n_features]
-        of a [B, n_features] array or Tensor ``x`` of values in [0, 1], as a
-        Tensor recording the autodiff graph that training steps on.
+        of a 2-D [B, n_features] array or Tensor ``x`` of values in [0, 1],
+        as a Tensor recording the autodiff graph that training steps on.
 
         ``_work`` is private to ``forward_chunks``, the one no-gradient path,
         whose chunks enter here with their shared buffers and leave as plain
@@ -168,9 +168,11 @@ class MambaTabModel:
         return T.linear(flat, self.head_w, self.head_b)
 
     def _check_width(self, shape) -> None:
-        if shape[-1] != self.config.n_features:
+        if len(shape) != 2:
+            raise ValueError(f"input must be [rows, n_features], got shape {shape}")
+        if shape[1] != self.config.n_features:
             raise ValueError(
-                f"input has {shape[-1]} features, model expects {self.config.n_features}")
+                f"input has {shape[1]} features, model expects {self.config.n_features}")
 
     def _forward_array(self, x: np.ndarray, work: dict[str, np.ndarray]) -> np.ndarray:
         """``forward``'s output as a new array, computed in plain numpy at L = 1.
@@ -210,13 +212,13 @@ class MambaTabModel:
         raise AssertionError("the graph accepted a chunk the graph-free forward rejected")
 
     def predict_logits(self, values: np.ndarray) -> np.ndarray:
-        """Classification logits [m] for [m, n_features] rows, chunked."""
+        """Classification logits [m] for a 2-D [m, n_features] array, chunked."""
         if self.config.head != "classification":
             raise ValueError("predictions require a classification head")
         return np.concatenate([z[:, 0] for _, z in self.forward_chunks(values)])
 
     def predict_proba(self, values: np.ndarray) -> np.ndarray:
-        """Classification probabilities [m] for [m, n_features] rows, chunked.
+        """Classification probabilities [m] for a 2-D [m, n_features] array, chunked.
 
         Float64 rounds every probability above a logit of about 36.7 to
         exactly 1.0, so rank the logits when ties matter.
@@ -224,8 +226,8 @@ class MambaTabModel:
         return _sigmoid(self.predict_logits(values))
 
     def forward_chunks(self, values: np.ndarray):
-        """Yield (row slice, forward output array) per ``CHUNK_ROWS`` rows, in
-        order; zero rows yield one empty chunk. No graph is recorded.
+        """Yield (row slice, graph-free forward output) per ``CHUNK_ROWS`` rows
+        of a 2-D [m, n_features] array, in order; zero rows yield one empty chunk.
 
         The chunks share one workspace, made for this call and dropped when
         the generator ends or is closed; every yielded array is new.

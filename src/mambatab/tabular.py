@@ -471,11 +471,9 @@ def transform(pre: Preprocessor, table: Table) -> EncodedMatrix:
         else:
             observed, values = _finite_numbers(table, j, "transform")
             codes = np.where(observed, values, mode)
-        if hi > lo:
+        if hi > lo:   # a constant column keeps its zeros
             with np.errstate(over="ignore"):   # a tiny range overflows to inf, clipped to 1
                 out[:, j] = np.clip((codes - lo) / (hi - lo), 0.0, 1.0)
-        else:
-            out[:, j] = 0.0
     return EncodedMatrix(out, table.labels.copy(), list(table.column_names), table.split)
 
 

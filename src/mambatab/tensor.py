@@ -306,9 +306,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g.reshape((1,) * x.data.ndim), x.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -11,7 +12,7 @@ import sys
 import tempfile
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -1292,6 +1293,38 @@ class TestMainEntry:
         else:
             assert code == EXIT_OK
             assert json.loads((out / "runspec.json").read_text())["use_layer_norm"] is layer_norm
+
+    def test_option_table(self, tmp_path):
+        # Each typed run option is written once, as a RunSpec field; its flag
+        # and its config key both come from that field.
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        train = ["--batch-size", "--config", "--d-conv", "--dataset", "--embed-dim", "--expand",
+                 "--help", "--lr", "--m-blocks", "--max-epochs", "--no-layer-norm", "--out",
+                 "--patience", "--quiet", "--regime", "--schema", "--seeds", "--state-size", "-h"]
+        sweep = sorted(train + ["--knob", "--values"])
+        for command, expected in (("train", train), ("sweep", sweep)):
+            actions = sub.choices[command]._actions
+            assert sorted(s for a in actions for s in a.option_strings) == expected
+            for name in cli._SPEC_FIELDS:
+                (action,) = [a for a in actions if a.dest == name]
+                assert action.option_strings == [_RUN_OPTIONS[name][0]]
+
+        values = {"regime": "ssl", "embed_dim": "9", "state_size": "5", "expand": "3",
+                  "d_conv": "2", "n_blocks": "2", "max_epochs": "7", "patience": "3",
+                  "lr": "0.002", "batch_size": "64", "seeds": "3,1"}
+        assert set(values) == {*cli._SPEC_FIELDS, "seeds"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items())
+                       + "no_layer_norm = yes\n")
+        paths = ["train", "--dataset", "d.csv", "--schema", "d.schema", "--out", "out"]
+        flags = [f"{_RUN_OPTIONS[k][0]}={v}" for k, v in values.items()] + ["--no-layer-norm"]
+        parse = cli.build_parser().parse_args
+        from_file = cli._build_spec(parse(paths + ["--config", str(cfg)]))
+        assert from_file == cli._build_spec(parse(paths + flags))
+        default = RunSpec("d.csv", "d.schema", "out")
+        assert all(getattr(from_file, f.name) != getattr(default, f.name)
+                   for f in fields(RunSpec) if f.name not in ("dataset", "schema", "out_dir"))
 
     def test_missing_label_column_exits_one(self, dataset, tmp_path):
         csv_path, _ = dataset

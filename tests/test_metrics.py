@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -112,6 +114,24 @@ class TestAccuracyAndAggregate:
         assert r.auroc == auroc(logits, labels) == 0.75
         assert auroc(_sigmoid(logits), labels) == 0.625
         assert r.accuracy == 0.75
+
+    @pytest.mark.parametrize("labels,bad", [
+        ([0, 1, 2], "[2]"), ([0, 1, -1, 2, 2], "[-1, 2]"), ([0.0, 1.0, 0.5], "[0.5]"),
+        ([0, 1, np.nan], "[nan]"),
+    ])
+    def test_labels_other_than_0_and_1_rejected(self, labels, bad):
+        # auroc once counted a 2 as a negative while n_neg did not, and
+        # accuracy scored its row as wrong.
+        scores = np.linspace(0.1, 0.9, len(labels))
+        for metric in (auroc, accuracy, evaluate):
+            with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {bad}")):
+                metric(scores, labels)
+
+    @pytest.mark.parametrize("labels", [[False, True, True], [0.0, 1.0, 1.0],
+                                        np.array([0, 1, 1], dtype=np.uint8)])
+    def test_bool_and_float_labels_count_as_0_and_1(self, labels):
+        r = evaluate([0.3, -0.2, 0.8], labels)
+        assert (r.auroc, r.accuracy, r.n_pos, r.n_neg) == (0.5, 1 / 3, 2, 1)
 
     def test_evaluate_counts(self):
         r = evaluate([0.9, 0.1, 0.8], [1, 0, 1], seed=3)

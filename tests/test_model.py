@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import time
 import weakref
 from dataclasses import replace
@@ -160,6 +161,21 @@ class TestGraphFreeForward:
             list(m.forward_chunks(np.zeros((2, 7))))
         with pytest.raises(NumericsError, match="tensor created"):
             list(m.forward_chunks(np.full((2, 7), np.inf)))
+
+    @pytest.mark.parametrize("shape", [(5,), (0,), (2, 1, 5), (1, 2, 5)])
+    def test_only_a_2d_input_is_scored(self, shape):
+        # A 1-D row once broadcast into every workspace row and came back as
+        # n_features copies of one logit; the graph died inside a reshape.
+        m = small_model(seed=2)
+        x = np.random.default_rng(4).uniform(0.0, 1.0, size=shape)
+        message = re.escape(f"input must be [rows, n_features], got shape {shape}")
+        for score in (m.forward, lambda v: list(m.forward_chunks(v)), m.predict_logits,
+                      m.predict_proba):
+            with pytest.raises(ValueError, match=message):
+                score(x)
+        if x.size:   # finiteness is checked first, as for a 2-D input
+            with pytest.raises(NumericsError, match="tensor created"):
+                list(m.forward_chunks(np.full(shape, np.nan)))
 
     @pytest.mark.parametrize("head", ["classification", "reconstruction"])
     def test_every_chunk_is_a_fresh_array(self, head):

@@ -3,10 +3,10 @@
     python3 tools/parity_gate.py --out DIR > digests.txt
 
 Writes the criterion-7 table (1000 rows, 6 informative and 6 noise
-columns, seed 0) and its schema into DIR, and a small mixed table
-(``mixed.csv``: categorical text, '' and '?' cells, integer text, a
-column pinned categorical, padded cells and -0.0 beside 0) and its
-schema, then runs through ``mambatab.cli.main``:
+columns, seed 0), its schema and a run config file (``c7.cfg``) into
+DIR, and a small mixed table (``mixed.csv``: categorical text, '' and
+'?' cells, integer text, a column pinned categorical, padded cells and
+-0.0 beside 0) and its schema, then runs through ``mambatab.cli.main``:
 
 - ``train --seeds 0,1`` into ``sup/``;
 - ``train --regime ssl --max-epochs 40 --seeds 0`` into ``ssl/``;
@@ -18,7 +18,9 @@ schema, then runs through ``mambatab.cli.main``:
   whose checkpoint holds the fitted categories, modes and ranges;
 - ``train --regime incremental --seeds 0 --max-epochs 5`` on the mixed
   table into ``mixed_inc/``, whose stages take columns of encoded splits
-  holding every kind of cell.
+  holding every kind of cell;
+- ``train --config c7.cfg`` into ``cfg/``, its run options (embed dim,
+  block count, layer norm, seeds, epochs) all read from the config file.
 
 It then prints ``sha256  path`` for every file under DIR except
 ``timing.json``, sorted by path. Progress goes to stderr. It exits with
@@ -84,6 +86,7 @@ def protocol(out: Path) -> list[list[str]]:
          "--quiet"],
         ["train", *mixed, "--out", str(out / "mixed_inc"), "--regime", "incremental",
          "--seeds", "0", "--max-epochs", "5", "--quiet"],
+        ["train", *data, "--out", str(out / "cfg"), "--config", str(out / "c7.cfg"), "--quiet"],
     ]
 
 
@@ -98,6 +101,8 @@ def main(argv=None) -> int:
     synthetic.write_csv(synthetic.logistic_table(1000, 6, 6, seed=0), out / "c7.csv")
     (out / "c7.schema").write_text("label_column = label\npositive_label = 1\n",
                                    encoding="utf-8")
+    (out / "c7.cfg").write_text("embed_dim = 16\nn_blocks = 2\nno_layer_norm = yes\nseeds = 0\n"
+                                "max_epochs = 5\n", encoding="utf-8")
     write_mixed(out)
 
     for args in protocol(out):
